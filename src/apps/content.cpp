@@ -18,6 +18,9 @@ std::string derive_value(ProducesSpec::Kind kind, std::string_view endpoint_labe
 
   switch (kind) {
     case ProducesSpec::Kind::kId:
+    // A kUrl value's variable part is the element's id; the caller (the
+    // origin server) prefixes the spec's url_base.
+    case ProducesSpec::Kind::kUrl:
       return short_digest(material, 8);
     case ProducesSpec::Kind::kName:
       return "n_" + short_digest("name:" + material, 6);

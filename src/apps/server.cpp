@@ -80,7 +80,7 @@ http::Response OriginServer::serve(const http::Request& request) const {
   json::Value root{json::Object{}};
   const auto value_at = [&](const ProducesSpec& p, std::size_t index) {
     if (p.kind == ProducesSpec::Kind::kUrl) {
-      return p.url_base + derive_value(ProducesSpec::Kind::kId, ep->label, *seed, index, epoch_);
+      return p.url_base + derive_value(p.kind, ep->label, *seed, index, epoch_);
     }
     return derive_value(p.kind, ep->label, *seed, index, epoch_);
   };

@@ -67,7 +67,7 @@ struct ProducesSpec {
   // kUrl: the emitted value is url_base + <the kId value of this element>,
   // e.g. "https://img.wish.example/thumb?cid=" + id — the embedded absolute
   // URLs real feeds carry (and all that URL-scanning prefetchers can use).
-  std::string url_base;
+  std::string url_base = {};
 };
 
 struct EndpointSpec {

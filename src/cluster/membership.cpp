@@ -63,7 +63,7 @@ std::string Membership::dump() const {
     entry.emplace("name", node.name);
     entry.emplace("host", node.host);
     entry.emplace("port", static_cast<std::int64_t>(node.port));
-    nodes.push_back(json::Value(std::move(entry)));
+    nodes.emplace_back(std::move(entry));
   }
   json::Object doc;
   doc.emplace("generation", static_cast<std::int64_t>(generation_));

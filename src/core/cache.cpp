@@ -1,6 +1,71 @@
 #include "core/cache.hpp"
 
+#include <algorithm>
+
+#include "util/hash.hpp"
+
 namespace appx::core {
+
+namespace {
+
+// Hash of everything a client observes in a response; `body_hash` already
+// covers the body bytes and opaque_payload.
+std::uint64_t content_hash(const http::Response& r, std::uint64_t body_hash) {
+  std::uint64_t h = hash_combine(body_hash, static_cast<std::uint64_t>(r.status));
+  h = hash_combine(h, fnv1a(r.reason));
+  for (const auto& [name, value] : r.headers.items()) {
+    h = hash_combine(hash_combine(h, fnv1a(name)), fnv1a(value));
+  }
+  return h;
+}
+
+bool same_content(const http::Response& a, const http::Response& b) {
+  return a.status == b.status && a.opaque_payload == b.opaque_payload && a.reason == b.reason &&
+         a.headers == b.headers && a.body.view() == b.body.view();
+}
+
+// An interned response and the resident-bytes share its destruction gives
+// back. Allocated once (make_shared); holders see only `response`.
+struct Resident {
+  Resident(const http::Response& r, Bytes b, std::shared_ptr<std::atomic<Bytes>> counter)
+      : response(r), bytes(b), resident(std::move(counter)) {
+    resident->fetch_add(bytes);
+  }
+  ~Resident() { resident->fetch_sub(bytes); }
+  Resident(const Resident&) = delete;
+  Resident& operator=(const Resident&) = delete;
+
+  const http::Response response;
+  const Bytes bytes;
+  const std::shared_ptr<std::atomic<Bytes>> resident;
+};
+
+}  // namespace
+
+std::shared_ptr<const http::Response> ResponseInterner::intern(const http::Response& response,
+                                                               std::uint64_t body_hash) {
+  const std::uint64_t hash = content_hash(response, body_hash);
+  const auto [first, last] = table_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    std::shared_ptr<const http::Response> held = it->second.lock();
+    if (held != nullptr && same_content(*held, response)) {
+      if (metrics_.shared != nullptr) metrics_.shared->inc();
+      return held;
+    }
+  }
+  if (table_.size() >= prune_at_) prune();
+  auto resident = std::make_shared<const Resident>(response, response.wire_size(), resident_);
+  std::shared_ptr<const http::Response> interned(resident, &resident->response);
+  table_.emplace(hash, interned);
+  return interned;
+}
+
+void ResponseInterner::prune() {
+  std::erase_if(table_, [](const auto& slot) { return slot.second.expired(); });
+  // At least as many inserts as live slots before the next pass: O(1)
+  // amortized per insert, and the table never exceeds ~2x its live size.
+  prune_at_ = std::max(kMinPruneAt, 2 * table_.size());
+}
 
 PrefetchCache::~PrefetchCache() {
   // Entries still unused when the cache dies (user eviction, shutdown) were

@@ -14,8 +14,16 @@
 //     looked up again would otherwise survive forever).
 // Evictions are counted per cause (LRU vs expired) and can additionally be
 // routed to external counters (the engine-wide ProxyStats).
+//
+// Isolation is per entry, not per byte (DESIGN.md §5h Rule 4): every user's
+// cache holds its own entries — key, expiry, `used` flag, LRU slot, budget
+// charge, usage hooks — but the immutable response an entry points at is
+// interned by exact content (ResponseInterner), so N users who prefetched the
+// same bytes share one copy of them.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
@@ -23,12 +31,60 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "http/message.hpp"
 #include "obs/metrics.hpp"
 #include "util/units.hpp"
 
 namespace appx::core {
+
+// Content-interning table for cached responses: one immutable response per
+// distinct content. Owned by one engine shard and serialized by its lock.
+//
+// The table maps a content hash (status, reason, headers, body bytes,
+// opaque_payload) to weak references, so it never extends a response's
+// lifetime: a response dies with its last holder (cache entries, in-flight
+// Decisions, connection write queues) and its slot is pruned on an amortized
+// schedule, keeping the table O(live distinct responses). A hash match alone
+// never shares a response — every field must compare equal (R3).
+class ResponseInterner {
+ public:
+  struct Metrics {
+    obs::Counter* shared = nullptr;  // intern() calls that reused a resident response
+  };
+
+  ResponseInterner() = default;
+  ResponseInterner(const ResponseInterner&) = delete;
+  ResponseInterner& operator=(const ResponseInterner&) = delete;
+
+  void bind_metrics(const Metrics& metrics) { metrics_ = metrics; }
+
+  // The resident response equal to `response`, or a new shared copy of it.
+  // `body_hash` must cover the body bytes and opaque_payload (callers that
+  // already hashed the body for another purpose pass that hash on).
+  std::shared_ptr<const http::Response> intern(const http::Response& response,
+                                               std::uint64_t body_hash);
+
+  // Wire bytes of the distinct responses still alive (the same measure as
+  // the cache's logical bytes, counted once per content). Safe to read from
+  // any thread: holders released off the shard lock update it atomically.
+  Bytes resident_bytes() const { return resident_->load(); }
+  // Table slots, including dead ones not yet pruned.
+  std::size_t table_size() const { return table_.size(); }
+
+ private:
+  void prune();
+
+  std::unordered_multimap<std::uint64_t, std::weak_ptr<const http::Response>> table_;
+  // Shared with every interned response so the last holder can give its
+  // bytes back even after the interner is gone.
+  std::shared_ptr<std::atomic<Bytes>> resident_ = std::make_shared<std::atomic<Bytes>>(0);
+  // Prune when the table grows to this size; reset to twice the live count.
+  std::size_t prune_at_ = kMinPruneAt;
+  static constexpr std::size_t kMinPruneAt = 64;
+  Metrics metrics_;
+};
 
 class PrefetchCache {
  public:
@@ -44,7 +100,8 @@ class PrefetchCache {
     // Shared so a hit hands out the stored response without copying the body
     // (responses can be hundreds of KB); the pointer stays valid even if the
     // entry is later overwritten, expired or evicted. Never null, so a kHit
-    // lookup always returns a usable response.
+    // lookup always returns a usable response. The engine stores interned
+    // responses here, so other users' entries may point at the same object.
     std::shared_ptr<const http::Response> response =
         std::make_shared<const http::Response>();
     std::string sig_id;

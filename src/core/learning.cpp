@@ -101,6 +101,12 @@ LearningEngine::LearningEngine(const SignatureSet* signatures,
   if (signatures == nullptr) throw InvalidArgumentError("LearningEngine: null signature set");
 }
 
+const std::shared_ptr<const json::Value>& ReadyPrefetch::empty_predecessor_body() {
+  static const std::shared_ptr<const json::Value> empty =
+      std::make_shared<const json::Value>(json::Object{});
+  return empty;
+}
+
 std::vector<ReadyPrefetch> LearningEngine::observe(const http::Request& request,
                                                    const http::Response& response) {
   ++stats_.transactions_observed;
@@ -128,7 +134,7 @@ std::vector<ReadyPrefetch> LearningEngine::observe(const http::Request& request,
     if (match) {
       ++stats_.successor_events;
       learn_from_successor(*sig, *match);
-      collect_ready(*sig, json::Value(json::Object{}), ready);
+      collect_ready(*sig, ReadyPrefetch::empty_predecessor_body(), ready);
     }
   }
   if (predecessor && response.ok()) {
@@ -162,9 +168,9 @@ void LearningEngine::learn_from_predecessor(const TransactionSignature& pred,
                                             const http::Response& response,
                                             std::vector<ReadyPrefetch>& out) {
   if (pred.response.body_kind != ResponseBodyKind::kJson) return;
-  json::Value body;
+  std::shared_ptr<const json::Value> body;
   try {
-    body = json::parse(response.body);
+    body = std::make_shared<const json::Value>(json::parse(response.body));
   } catch (const ParseError& e) {
     log_warn("learning") << "predecessor " << pred.label << ": unparsable response body: "
                          << e.what();
@@ -183,7 +189,7 @@ void LearningEngine::learn_from_predecessor(const TransactionSignature& pred,
     if (succ == nullptr) continue;
     SignatureState& state = states_[succ_id];
 
-    for (Bindings& bindings : binding_sets_for(edges, body)) {
+    for (Bindings& bindings : binding_sets_for(edges, *body)) {
       if (bindings.empty()) continue;
       auto it = state.instances.find(make_fingerprint(bindings));
       if (it == state.instances.end()) {
@@ -208,7 +214,7 @@ void LearningEngine::learn_from_predecessor(const TransactionSignature& pred,
 }
 
 void LearningEngine::collect_ready(const TransactionSignature& sig,
-                                   const json::Value& predecessor_body,
+                                   const std::shared_ptr<const json::Value>& predecessor_body,
                                    std::vector<ReadyPrefetch>& out) {
   const auto it = states_.find(sig.id);
   if (it == states_.end()) return;

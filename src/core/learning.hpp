@@ -87,10 +87,14 @@ struct ReadyPrefetch {
   const TransactionSignature* signature = nullptr;
   RequestInstance* instance = nullptr;  // owned by the engine
   http::Request request;
-  // Body of the predecessor response that triggered this instance (empty
+  // Body of the predecessor response that triggered this instance (an empty
   // object when triggered by a successor observation); used to evaluate
-  // config FieldConditions.
-  json::Value predecessor_body;
+  // config FieldConditions. Shared by every instance one observation made
+  // ready, never null.
+  std::shared_ptr<const json::Value> predecessor_body = empty_predecessor_body();
+
+  // The one empty object behind every successor-triggered instance.
+  static const std::shared_ptr<const json::Value>& empty_predecessor_body();
 };
 
 // Counters exposed for evaluation and tests.
@@ -153,7 +157,8 @@ class LearningEngine {
                               std::vector<ReadyPrefetch>& out);
   void learn_from_successor(const TransactionSignature& succ,
                             const TransactionSignature::MatchResult& match);
-  void collect_ready(const TransactionSignature& sig, const json::Value& predecessor_body,
+  void collect_ready(const TransactionSignature& sig,
+                     const std::shared_ptr<const json::Value>& predecessor_body,
                      std::vector<ReadyPrefetch>& out);
 
   // Extract per-instance binding sets for `edges` from a predecessor

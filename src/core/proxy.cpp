@@ -72,6 +72,7 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
   inst_.bytes_served_from_cache = &reg.counter("appx_proxy_cache_served_bytes_total");
   inst_.cache_entries = &reg.gauge("appx_cache_entries");
   inst_.cache_bytes = &reg.gauge("appx_cache_bytes");
+  interner_.bind_metrics(ResponseInterner::Metrics{&reg.counter("appx_cache_shared_total")});
   inst_.users = &reg.gauge("appx_proxy_users");
   inst_.prefetch_queued = &reg.gauge("appx_prefetch_queue_depth");
   inst_.prefetch_outstanding = &reg.gauge("appx_prefetch_outstanding");
@@ -93,6 +94,7 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
                      [this] { return signatures_->index().totals().candidates; });
   reg.gauge_callback("appx_sigindex_confirmed_total",
                      [this] { return signatures_->index().totals().confirmed; });
+  reg.gauge_callback("appx_cache_resident_bytes", [this] { return interner_.resident_bytes(); });
 }
 
 UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
@@ -280,8 +282,11 @@ void ProxyEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
   }
   inst_.prefetch_responses->inc();
 
+  // One body hash serves both the content interner and learned expiry.
+  const std::uint64_t body_hash = hash_combine(
+      fnv1a(response.body.view()), static_cast<std::uint64_t>(response.opaque_payload));
   PrefetchCache::Entry entry;
-  entry.set_response(response);
+  entry.response = interner_.intern(response, body_hash);
   entry.sig_id = job.sig_id;
   entry.fetched_at = now;
   auto expiry = config_->expiration(job.sig_id);
@@ -292,8 +297,6 @@ void ProxyEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
       // One content sample per cached prefetch: a same-key re-fetch whose
       // body changed refines this signature's TTL online (§4.3's probing,
       // continued at run time).
-      const std::uint64_t body_hash = hash_combine(
-          fnv1a(response.body.view()), static_cast<std::uint64_t>(response.opaque_payload));
       sig_model_->observe_content(app, job.sig_id, fnv1a(job.cache_key), body_hash, now);
       if (const auto learned =
               sig_model_->learned_expiry(app, job.sig_id, options_.policy.min_learned_expiry)) {
@@ -346,7 +349,7 @@ void ProxyEngine::admit_prefetches(UserState& state, std::vector<ReadyPrefetch> 
     if (const auto* conditions = config_->conditions(sig_id)) {
       const bool pass = std::all_of(
           conditions->begin(), conditions->end(),
-          [&](const FieldCondition& c) { return c.evaluate(rp.predecessor_body); });
+          [&](const FieldCondition& c) { return c.evaluate(*rp.predecessor_body); });
       if (!pass) {
         inst_.skipped_condition->inc();
         continue;

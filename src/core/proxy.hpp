@@ -5,9 +5,13 @@
 // .hpp) and fills Decisions (serve-from-cache or forward; prefetch jobs to
 // issue). The simulator — or a real socket front end — owns the wire.
 //
-// Per-user isolation: prefetched responses and learned run-time state are
-// never shared across users (paper §2/§5: "prefetched responses are not
-// shared across users, and the prototype distinguishes users by IP").
+// Per-user isolation: cache entries and learned run-time state are never
+// shared across users (paper §2/§5: "prefetched responses are not shared
+// across users, and the prototype distinguishes users by IP"). Isolation is
+// per entry, not per byte: each user's entry (key, expiry, used flag, LRU
+// slot, budget charge) is private, while the immutable response it points at
+// is interned per shard by exact content (DESIGN.md §5h Rule 4), so users who
+// prefetched identical bytes hold one copy of them.
 //
 // A ProxyEngine is NOT thread-safe; it is either driven single-threaded or
 // wrapped as one shard of a ShardedProxyEngine (core/sharded_proxy.hpp),
@@ -117,6 +121,7 @@ class ProxyEngine final : public ProxyLike {
   const EngineOptions& options() const { return options_; }
   const LearningEngine* learning_for(const std::string& user) const;
   const PrefetchCache* cache_for(const std::string& user) const;
+  const ResponseInterner& interner() const { return interner_; }
   // Users resident in THIS shard. Fleet-wide counts come from the
   // appx_proxy_users registry gauge, which every shard maintains by delta.
   std::size_t user_count() const { return users_.size(); }
@@ -239,6 +244,9 @@ class ProxyEngine final : public ProxyLike {
   obs::MetricsRegistry own_registry_;
   obs::MetricsRegistry* registry_ = nullptr;
   Instruments inst_;
+  // One resident copy per distinct prefetched response across this shard's
+  // users. Holds only weak references, so declaration order is free.
+  ResponseInterner interner_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::map<std::string, std::uint32_t, std::less<>> users_;  // name -> slot

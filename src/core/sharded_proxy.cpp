@@ -56,6 +56,13 @@ ShardedProxyEngine::ShardedProxyEngine(const SignatureSet* signatures,
                            sum_over_shards([](const auto& t) { return t.candidates; }));
   registry_.gauge_callback("appx_sigindex_confirmed_total",
                            sum_over_shards([](const auto& t) { return t.confirmed; }));
+  // Same for the interners: each shard keeps its own table, so the resident
+  // bytes of the fleet are the sum (an atomic read per shard, no shard lock).
+  registry_.gauge_callback("appx_cache_resident_bytes", [this] {
+    std::int64_t total = 0;
+    for (const auto& shard : shards_) total += shard->engine->interner().resident_bytes();
+    return total;
+  });
 }
 
 std::size_t ShardedProxyEngine::shard_index_for(std::string_view user) const {

@@ -6,6 +6,7 @@
 #include "core/cache.hpp"
 #include "core/proxy.hpp"
 #include "core/scheduler.hpp"
+#include "util/hash.hpp"
 #include "wish_fixture.hpp"
 
 namespace appx::core {
@@ -367,7 +368,9 @@ TEST(PrefetchScheduler, BoundedQueueEvictsNewestAmongEqualPriorities) {
     j.request.body = std::to_string(i);
     const auto evicted = sched.enqueue(j, stats);
     EXPECT_EQ(evicted.has_value(), i == 2);
-    if (evicted) EXPECT_EQ(evicted->request.body, "2");
+    if (evicted) {
+      EXPECT_EQ(evicted->request.body, "2");
+    }
   }
   EXPECT_EQ(sched.dequeue()->request.body, "0");
   EXPECT_EQ(sched.dequeue()->request.body, "1");
@@ -500,6 +503,87 @@ TEST(PrefetchCache, UnusedBytesTracksLiveNeverUsedEntries) {
   EXPECT_GT(cache.unused_bytes(), 0);
   EXPECT_NE(cache.get("b", 0), nullptr);
   EXPECT_EQ(cache.unused_bytes(), 0);
+}
+
+// --- ResponseInterner ------------------------------------------------------------
+
+http::Response json_response(std::string body) {
+  http::Response r;
+  r.headers.set("Content-Type", "application/json");
+  r.body = std::move(body);  // a fresh slab per call, as per upstream fetch
+  return r;
+}
+
+std::uint64_t body_hash_of(const http::Response& r) {
+  return hash_combine(fnv1a(r.body.view()), static_cast<std::uint64_t>(r.opaque_payload));
+}
+
+std::shared_ptr<const http::Response> intern(ResponseInterner& interner,
+                                             const http::Response& r) {
+  return interner.intern(r, body_hash_of(r));
+}
+
+TEST(ResponseInterner, EqualContentSharesOneResponse) {
+  obs::MetricsRegistry registry;
+  ResponseInterner interner;
+  interner.bind_metrics(ResponseInterner::Metrics{&registry.counter("shared")});
+  const http::Response a = json_response(R"({"id":1})");
+  const http::Response b = json_response(R"({"id":1})");
+  ASSERT_NE(a.body.data(), b.body.data());  // same bytes, separate buffers
+
+  const auto first = intern(interner, a);
+  const auto second = intern(interner, b);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(registry.counter_value("shared"), 1);
+  EXPECT_EQ(interner.resident_bytes(), a.wire_size());
+  EXPECT_EQ(interner.table_size(), 1u);
+}
+
+TEST(ResponseInterner, AnyDifferingFieldIsNotShared) {
+  ResponseInterner interner;
+  const http::Response base = json_response(R"({"price":100})");
+  const auto resident = intern(interner, base);
+
+  http::Response status = base;
+  status.status = 203;
+  http::Response reason = base;
+  reason.reason = "Fine";
+  http::Response header = base;
+  header.headers.set("Content-Type", "application/json; charset=utf-8");
+  http::Response extra_header = base;
+  extra_header.headers.add("Cache-Control", "no-store");
+  http::Response opaque = base;
+  opaque.opaque_payload = 1;
+  const http::Response body = json_response(R"({"price":101})");
+  for (const http::Response& variant : {status, reason, header, extra_header, opaque, body}) {
+    EXPECT_NE(intern(interner, variant).get(), resident.get());
+  }
+  // R3 rests on the byte compare, not the hash: a response that collides
+  // on the hash (forced here by passing the base's body hash) stays apart.
+  EXPECT_NE(interner.intern(body, body_hash_of(base)).get(), resident.get());
+  EXPECT_EQ(intern(interner, json_response(R"({"price":100})")).get(), resident.get());
+}
+
+TEST(ResponseInterner, DeadResponsesReleaseTheirBytesAndArePruned) {
+  ResponseInterner interner;
+  std::vector<std::shared_ptr<const http::Response>> held;
+  for (int i = 0; i < 100; ++i) {
+    held.push_back(intern(interner, json_response("{\"n\":" + std::to_string(i) + "}")));
+  }
+  EXPECT_EQ(interner.table_size(), 100u);
+  EXPECT_GT(interner.resident_bytes(), 0);
+  std::weak_ptr<const http::Response> watch = held.front();
+
+  held.clear();  // the last holders go: each response dies with them
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(interner.resident_bytes(), 0);
+
+  // Later inserts prune the dead slots: the table tracks live content.
+  for (int i = 0; i < 300; ++i) {
+    intern(interner, json_response("{\"m\":" + std::to_string(i) + "}"));
+  }
+  EXPECT_LE(interner.table_size(), 64u);
+  EXPECT_EQ(interner.resident_bytes(), 0);
 }
 
 // --- ProxyEngine -----------------------------------------------------------------
@@ -987,6 +1071,93 @@ TEST_F(ProxyTest, BoundedEngineQueueShedsBeforeIssue) {
   // Shed jobs were never issued: the resolution balance holds without them.
   EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
             stats.prefetches_issued);
+}
+
+// --- content interning across users (DESIGN.md §5h Rule 4) -----------------------
+
+TEST_F(ProxyTest, IdenticalPrefetchesAcrossUsersSharePointerIdenticalResponses) {
+  for (const std::string user : {"u1", "u2"}) {
+    run_transaction(user, make_feed_request(), make_feed_response({"a", "b", "c"}), 0);
+    run_transaction(user, make_product_request("a"), make_product_response("m", 1), 1);
+  }
+  Decision d1 = engine_->session("u1", 2).on_request(make_product_request("b"), 2);
+  Decision d2 = engine_->session("u2", 2).on_request(make_product_request("b"), 2);
+  ASSERT_NE(d1.served, nullptr);
+  ASSERT_NE(d2.served, nullptr);
+  EXPECT_EQ(d1.served.get(), d2.served.get());
+  EXPECT_EQ(d1.served->body, make_product_response("m_b", 1500).body);
+
+  // Every u2 insert found u1's copy; the logical gauge still counts both
+  // users' entries, the resident gauge one copy of each distinct response.
+  const obs::MetricsRegistry& reg = *engine_->metrics();
+  EXPECT_GE(reg.counter_value("appx_cache_shared_total"),
+            static_cast<std::int64_t>(engine_->cache_for("u2")->entries_inserted()));
+  const std::int64_t logical = reg.gauge_value("appx_cache_bytes");
+  const std::int64_t resident = reg.gauge_value("appx_cache_resident_bytes");
+  EXPECT_EQ(logical, engine_->cache_for("u1")->bytes() + engine_->cache_for("u2")->bytes());
+  EXPECT_GT(resident, 0);
+  EXPECT_LE(2 * resident, logical);
+  EXPECT_EQ(resident, engine_->interner().resident_bytes());
+}
+
+TEST_F(ProxyTest, SharedResponsesKeepPerUserExpiry) {
+  config_.default_expiration = seconds(10);
+  remake_engine();
+  run_transaction("u1", make_feed_request(), make_feed_response({"a", "b"}), 0);
+  run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 0);
+  run_transaction("u2", make_feed_request(), make_feed_response({"a", "b"}), seconds(5));
+  run_transaction("u2", make_product_request("a"), make_product_response("m", 1), seconds(5));
+  ASSERT_GT(engine_->metrics()->counter_value("appx_cache_shared_total"), 0);
+
+  // u1's copy of b was stamped at t=0, u2's at t=5s: same bytes, own TTLs.
+  bool hit = true;
+  run_transaction("u1", make_product_request("b"), make_product_response("m", 1), seconds(12),
+                  &hit);
+  EXPECT_FALSE(hit);
+  run_transaction("u2", make_product_request("b"), make_product_response("m", 1), seconds(12),
+                  &hit);
+  EXPECT_TRUE(hit);
+}
+
+TEST_F(ProxyTest, SharedResponsesKeepPerUserUseWasteAndEviction) {
+  config_.user_idle_timeout = minutes(1);
+  remake_engine();
+  run_transaction("u1", make_feed_request(), make_feed_response({"a", "b", "c"}), 0);
+  run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 0);
+  // u1 uses its entry for b before u2 prefetches the same response.
+  Decision u1_hit = engine_->session("u1", seconds(1)).on_request(make_product_request("b"),
+                                                                  seconds(1));
+  ASSERT_NE(u1_hit.served, nullptr);
+  const std::weak_ptr<const http::Response> shared_b = u1_hit.served;
+  u1_hit = Decision{};
+  run_transaction("u2", make_feed_request(), make_feed_response({"a", "b", "c"}), seconds(40));
+  run_transaction("u2", make_product_request("a"), make_product_response("m", 1), seconds(40));
+  EXPECT_EQ(engine_->cache_for("u1")->entries_used(), 1u);
+  EXPECT_EQ(engine_->cache_for("u2")->entries_used(), 0u);
+
+  // A new arrival evicts the idle u1: exactly u1's unused entries are waste.
+  const Bytes u1_unused = engine_->cache_for("u1")->unused_bytes();
+  const std::size_t wasted_before = engine_->stats().prefetch_wasted_entries;
+  const Bytes wasted_bytes_before = engine_->stats().prefetch_wasted_bytes;
+  run_transaction("u3", make_feed_request(), make_feed_response({"z"}), seconds(65));
+  ASSERT_EQ(engine_->cache_for("u1"), nullptr);
+  ASSERT_NE(engine_->cache_for("u2"), nullptr);
+  EXPECT_EQ(engine_->stats().prefetch_wasted_bytes - wasted_bytes_before, u1_unused);
+  EXPECT_GT(engine_->stats().prefetch_wasted_entries, wasted_before);
+
+  // u2's entry still holds the shared response; its own first use fires now.
+  ASSERT_FALSE(shared_b.expired());
+  Decision u2_hit = engine_->session("u2", seconds(66)).on_request(make_product_request("b"),
+                                                                   seconds(66));
+  ASSERT_NE(u2_hit.served, nullptr);
+  EXPECT_EQ(u2_hit.served.get(), shared_b.lock().get());
+  EXPECT_EQ(engine_->cache_for("u2")->entries_used(), 1u);
+  u2_hit = Decision{};
+
+  // Once the last holder is evicted too, the response itself is gone.
+  run_transaction("u4", make_feed_request(), make_feed_response({"y"}), minutes(10));
+  ASSERT_EQ(engine_->cache_for("u2"), nullptr);
+  EXPECT_TRUE(shared_b.expired());
 }
 
 }  // namespace

@@ -238,6 +238,58 @@ TEST(ShardedProxy, BalanceInvariantHoldsAcrossShardsUnderFailuresAndDrops) {
             registry->counter_value("appx_prefetch_issued_total"));
 }
 
+TEST(ShardedProxy, ConcurrentIdenticalPrefetchesSharePerShard) {
+  // Every user fetches the same content, so each shard interns one copy and
+  // its users' entries share it while threads hit and release those shared
+  // responses concurrently. TSan checks the interner needs no lock beyond
+  // the shard's, and that the resident gauge reads safely mid-run.
+  const SignatureSet set = make_wish_set();
+  ProxyConfig config;
+  config.default_expiration = seconds(3600);
+  EngineOptions options;
+  options.shards = 2;
+  ShardedProxyEngine sharded(&set, &config, options);
+
+  constexpr int kThreads = 4;
+  constexpr int kUsersPerThread = 4;
+  std::atomic<bool> running{true};
+  std::thread scraper([&] {
+    while (running.load()) {
+      EXPECT_GE(sharded.metrics()->gauge_value("appx_cache_resident_bytes"), 0);
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<std::size_t> hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int u = 0; u < kUsersPerThread; ++u) {
+        hits += drive_user(sharded, "same" + std::to_string(t) + "_" + std::to_string(u));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  running = false;
+  scraper.join();
+
+  EXPECT_EQ(hits.load(), static_cast<std::size_t>(2 * kThreads * kUsersPerThread));
+  const obs::MetricsRegistry& reg = *sharded.metrics();
+  EXPECT_GT(reg.counter_value("appx_cache_shared_total"), 0);
+  const std::int64_t resident = reg.gauge_value("appx_cache_resident_bytes");
+  EXPECT_EQ(resident, sharded.shard(0).interner().resident_bytes() +
+                          sharded.shard(1).interner().resident_bytes());
+  // At most one copy per distinct response per shard, however many users.
+  std::int64_t per_user = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    const PrefetchCache* cache = sharded.cache_for("same" + std::to_string(t) + "_0");
+    ASSERT_NE(cache, nullptr);
+    per_user = std::max<std::int64_t>(per_user, cache->bytes());
+  }
+  EXPECT_GT(resident, 0);
+  EXPECT_LE(resident, 2 * per_user);
+  EXPECT_LT(resident, reg.gauge_value("appx_cache_bytes"));
+}
+
 TEST(ShardedProxy, SeedFixedRunsAreReproduciblePerShard) {
   const SignatureSet set = make_wish_set();
   ProxyConfig config;
