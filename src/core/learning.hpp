@@ -25,41 +25,44 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/signature.hpp"
 #include "json/json.hpp"
+#include "obs/metrics.hpp"
 #include "util/byte_io.hpp"
 
 namespace appx::core {
 
-// A prefetch request under construction for one successor signature.
+struct SignatureState;
+
+// A prefetch request under construction for one successor signature. It owns
+// only its dependency values, as its key in the signature's instance map; the
+// run-time values and instance class are the signature's, so every instance
+// follows the most recent observation (Fig. 7 case 2).
 class RequestInstance {
  public:
-  RequestInstance(const TransactionSignature* sig, Bindings dependency_bindings);
+  // Standalone instance, outside any engine: the given holes are its
+  // dependency values, every other hole a run-time hole left unbound.
+  RequestInstance(const TransactionSignature* sig, const Bindings& dependency_bindings);
+  // Instance of an engine's signature state; the engine attaches its key.
+  explicit RequestInstance(const SignatureState* state);
+  ~RequestInstance();
+  RequestInstance(const RequestInstance&) = delete;
+  RequestInstance& operator=(const RequestInstance&) = delete;
 
-  const TransactionSignature& signature() const { return *sig_; }
-  const Bindings& bindings() const { return bindings_; }
-  const Bindings& dependency_bindings() const { return dependency_bindings_; }
+  // Dependency values merged with the signature's run-time values.
+  Bindings bindings() const;
+  Bindings dependency_bindings() const;
 
-  // Merge additional bindings (later wins — "adaptation to recent condition").
-  void bind(const Bindings& more);
-
-  // Record the instance class: optional fields currently believed absent.
-  void set_absent_optional(const std::vector<std::string>& absent);
-  const std::set<std::string>& absent_optional() const { return absent_optional_; }
-
-  // Fingerprint of the *dependency* bindings; identifies the logical target
-  // so re-learning the same feed does not duplicate instances.
-  const std::string& fingerprint() const { return fingerprint_; }
+  // Encoding of the dependency values; identifies the logical target so
+  // re-learning the same feed does not duplicate instances.
+  const std::string& fingerprint() const { return *key_; }
 
   // True when every hole required by the present fields is bound.
   bool ready() const;
-
-  // Holes still missing (for diagnostics / tests).
-  std::vector<std::string> missing_holes() const;
 
   // Build the concrete HTTP request. Requires ready().
   http::Request materialize() const;
@@ -69,23 +72,42 @@ class RequestInstance {
   // and in-flight set so expired entries can be re-prefetched).
   bool issued() const { return issued_; }
   void mark_issued() { issued_ = true; }
-  void reset_issued() { issued_ = false; }
 
  private:
-  bool field_present(const RequestField& field) const;
+  friend class LearningEngine;
+  struct Standalone;
 
-  const TransactionSignature* sig_;
-  Bindings bindings_;             // dependency + runtime bindings merged
-  Bindings dependency_bindings_;  // the subset that identifies the target
-  std::set<std::string> absent_optional_;
-  std::string fingerprint_;
+  std::unique_ptr<Standalone> owned_;  // null inside an engine
+  const SignatureState* state_ = nullptr;
+  const std::string* key_ = nullptr;
   bool issued_ = false;
+};
+
+// What every instance of one signature shares. std::map nodes are stable, so
+// instances keep plain pointers to their state and key.
+struct SignatureState {
+  SignatureState(const TransactionSignature* sig,
+                 std::shared_ptr<const std::vector<std::string>> dependency_holes);
+  SignatureState(SignatureState&&) = delete;
+  SignatureState& operator=(SignatureState&&) = delete;
+
+  const TransactionSignature* sig;
+  // Holes fed by dependency edges, sorted: the layout of an instance key.
+  // One list per signature, shared by every user's state.
+  std::shared_ptr<const std::vector<std::string>> dependency_holes;
+  // Most recent values of the signature's run-time holes (never a
+  // dependency hole, so merging with an instance's values cannot clash).
+  Bindings runtime_bindings;
+  // Most recently observed instance class (absent optional field keys).
+  std::vector<std::string> recent_absent;
+  bool observed = false;
+  // Live instances keyed by their dependency values.
+  std::map<std::string, RequestInstance> instances;
 };
 
 // A ready-to-issue prefetch handed to the proxy.
 struct ReadyPrefetch {
   const TransactionSignature* signature = nullptr;
-  RequestInstance* instance = nullptr;  // owned by the engine
   http::Request request;
   // Body of the predecessor response that triggered this instance (an empty
   // object when triggered by a successor observation); used to evaluate
@@ -113,8 +135,14 @@ class LearningEngine {
  public:
   // `host_apps` (optional, not owned) routes requests to one app's
   // signatures in multi-app deployments; see ProxyConfig::host_apps.
+  // `instances` (optional, not owned) counts live instances; engines of one
+  // proxy share it, each adding its own by delta.
   explicit LearningEngine(const SignatureSet* signatures,
-                          const std::map<std::string, std::string>* host_apps = nullptr);
+                          const std::map<std::string, std::string>* host_apps = nullptr,
+                          obs::Gauge* instances = nullptr);
+  ~LearningEngine();
+  LearningEngine(const LearningEngine&) = delete;
+  LearningEngine& operator=(const LearningEngine&) = delete;
 
   // Feed one observed transaction through the Fig. 6 flow. Returns the
   // instances that became ready (not yet issued) as a result.
@@ -143,16 +171,6 @@ class LearningEngine {
   void restore_flows(ByteReader& in, std::uint32_t version);
 
  private:
-  struct SignatureState {
-    // Most recent values of the signature's run-time holes.
-    Bindings runtime_bindings;
-    // Most recently observed instance class (absent optional field keys).
-    std::vector<std::string> recent_absent;
-    bool observed = false;
-    // Live instances keyed by dependency fingerprint.
-    std::map<std::string, std::unique_ptr<RequestInstance>> instances;
-  };
-
   void learn_from_predecessor(const TransactionSignature& pred, const http::Response& response,
                               std::vector<ReadyPrefetch>& out);
   void learn_from_successor(const TransactionSignature& succ,
@@ -160,15 +178,15 @@ class LearningEngine {
   void collect_ready(const TransactionSignature& sig,
                      const std::shared_ptr<const json::Value>& predecessor_body,
                      std::vector<ReadyPrefetch>& out);
-
-  // Extract per-instance binding sets for `edges` from a predecessor
-  // response body (handles [*] replication and grouped multi-value paths).
-  static std::vector<Bindings> binding_sets_for(
-      const std::vector<const DependencyEdge*>& edges, const json::Value& body);
+  SignatureState& state_for(const TransactionSignature& sig);
+  // Instance of `state` with these dependency values, created if new.
+  void add_instance(SignatureState& state, const Bindings& dependency_bindings);
+  void gauge_instances(std::int64_t delta);
 
   const SignatureSet* signatures_;
   const std::map<std::string, std::string>* host_apps_;
   std::map<std::string, SignatureState, std::less<>> states_;
+  obs::Gauge* instances_gauge_;
   LearningStats stats_;
 };
 

@@ -72,6 +72,7 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
   inst_.bytes_served_from_cache = &reg.counter("appx_proxy_cache_served_bytes_total");
   inst_.cache_entries = &reg.gauge("appx_cache_entries");
   inst_.cache_bytes = &reg.gauge("appx_cache_bytes");
+  inst_.learning_instances = &reg.gauge("appx_learning_instances");
   interner_.bind_metrics(ResponseInterner::Metrics{&reg.counter("appx_cache_shared_total")});
   inst_.users = &reg.gauge("appx_proxy_users");
   inst_.prefetch_queued = &reg.gauge("appx_prefetch_queue_depth");
@@ -113,7 +114,7 @@ UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  s.state = std::make_unique<UserState>(signatures_, *config_, options_);
+  s.state = std::make_unique<UserState>(signatures_, *config_, options_, inst_.learning_instances);
   s.state->cache.bind_metrics(PrefetchCache::Metrics{
       inst_.evicted_lru, inst_.evicted_expired, inst_.cache_entries, inst_.cache_bytes});
   // Outcome hooks feed the policy value model and the waste accounting. They

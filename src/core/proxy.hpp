@@ -129,8 +129,8 @@ class ProxyEngine final : public ProxyLike {
  private:
   struct UserState {
     UserState(const SignatureSet* signatures, const ProxyConfig& config,
-              const EngineOptions& options)
-        : learning(signatures, &config.host_apps),
+              const EngineOptions& options, obs::Gauge* learning_instances)
+        : learning(signatures, &config.host_apps, learning_instances),
           pacer(policy::BudgetPacer::Options{
               options.policy.enabled ? config.data_budget.value_or(0) : 0,
               options.policy.budget_window, options.policy.hit_byte_refund}),
@@ -213,6 +213,7 @@ class ProxyEngine final : public ProxyLike {
     obs::Counter* bytes_served_from_cache = nullptr;
     obs::Gauge* cache_entries = nullptr;
     obs::Gauge* cache_bytes = nullptr;
+    obs::Gauge* learning_instances = nullptr;
     obs::Gauge* users = nullptr;
     obs::Gauge* prefetch_queued = nullptr;
     obs::Gauge* prefetch_outstanding = nullptr;

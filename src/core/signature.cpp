@@ -316,6 +316,7 @@ const TransactionSignature& SignatureSet::add(TransactionSignature sig) {
   const TransactionSignature& ref = *signatures_.back();
   by_id_.emplace(ref.id, &ref);
   index_.reset();  // the dispatch index no longer covers every signature
+  sorted_dependency_holes_.clear();
   return ref;
 }
 
@@ -328,6 +329,7 @@ void SignatureSet::add_edge(DependencyEdge edge) {
   }
   json::Path(edge.pred_path);  // validate
   edges_.push_back(std::move(edge));
+  sorted_dependency_holes_.clear();
 }
 
 const TransactionSignature* SignatureSet::find(std::string_view id) const {
@@ -402,6 +404,20 @@ std::vector<std::string> SignatureSet::dependency_holes(std::string_view id) con
     if (bound.contains(hole)) out.push_back(hole);
   }
   return out;
+}
+
+std::shared_ptr<const std::vector<std::string>> SignatureSet::sorted_dependency_holes(
+    std::string_view id) const {
+  auto it = sorted_dependency_holes_.find(id);
+  if (it == sorted_dependency_holes_.end()) {
+    std::vector<std::string> holes = dependency_holes(id);
+    std::sort(holes.begin(), holes.end());
+    it = sorted_dependency_holes_
+             .emplace(std::string(id),
+                      std::make_shared<const std::vector<std::string>>(std::move(holes)))
+             .first;
+  }
+  return it->second;
 }
 
 std::size_t SignatureSet::max_chain_length() const {

@@ -166,6 +166,11 @@ class SignatureSet {
   std::vector<std::string> runtime_holes(std::string_view id) const;
   // Holes of `id` bound by incoming edges: dependency holes.
   std::vector<std::string> dependency_holes(std::string_view id) const;
+  // The same sorted by name: the layout learning keys request instances by.
+  // Built once per signature and shared by every user's learning state;
+  // unsynchronised, like the match index.
+  std::shared_ptr<const std::vector<std::string>> sorted_dependency_holes(
+      std::string_view id) const;
 
   // Longest successive dependency chain (number of edges on the longest
   // simple path through the dependency DAG) — Table 3's "Max len".
@@ -204,6 +209,8 @@ class SignatureSet {
   std::map<std::string, const TransactionSignature*, std::less<>> by_id_;
   std::vector<DependencyEdge> edges_;
   mutable std::unique_ptr<SignatureIndex> index_;  // null until first lookup
+  mutable std::map<std::string, std::shared_ptr<const std::vector<std::string>>, std::less<>>
+      sorted_dependency_holes_;
 };
 
 // Composite key identifying a field within a request: "<location>:<name>".

@@ -452,9 +452,9 @@ Path::Path(std::string_view text) : text_(text) {
   if (steps_.empty()) throw ParseError("json path: empty path");
 }
 
-std::vector<const Value*> Path::resolve(const Value& root) const {
+std::vector<const Value*> Path::resolve(const Value& root, std::span<const PathStep> steps) {
   std::vector<const Value*> frontier{&root};
-  for (const PathStep& step : steps_) {
+  for (const PathStep& step : steps) {
     std::vector<const Value*> next;
     for (const Value* v : frontier) {
       const Value* target = v;

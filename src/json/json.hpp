@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -112,7 +113,9 @@ class Path {
   bool empty() const { return steps_.empty(); }
 
   // All values at this path (empty when the path does not resolve).
-  std::vector<const Value*> resolve(const Value& root) const;
+  std::vector<const Value*> resolve(const Value& root) const { return resolve(root, steps_); }
+  // The same over any run of steps, e.g. the part of a path after its [*].
+  static std::vector<const Value*> resolve(const Value& root, std::span<const PathStep> steps);
 
   // First value, or nullptr.
   const Value* resolve_first(const Value& root) const;

@@ -154,5 +154,47 @@ TEST(StaticOnlyEngine, PrefetchesFullyConcreteSignatures) {
   EXPECT_EQ(decision.served->body, "pong");
 }
 
+// The seeded request is the signature's template rendered as-is: literal
+// query, header and form fields in order, optional fields included (no
+// instance class has been observed).
+TEST(StaticOnlyEngine, SeedsEachCompleteSignatureRenderedInFull) {
+  SignatureSet set;
+  TransactionSignature sig;
+  sig.app = "a";
+  sig.label = "static.search";
+  sig.request.method = "POST";
+  sig.request.scheme = pattern::FieldTemplate::literal("https");
+  sig.request.host = pattern::FieldTemplate::literal("api.example");
+  sig.request.path = pattern::FieldTemplate::literal("/search");
+  sig.request.query = {
+      {FieldLocation::kQuery, "q", pattern::FieldTemplate::literal("shoes"), false}};
+  sig.request.headers = {
+      {FieldLocation::kHeader, "X-Client", pattern::FieldTemplate::literal("android"), false},
+      {FieldLocation::kHeader, "X-Debug", pattern::FieldTemplate::literal("1"), true},
+  };
+  sig.request.body_kind = BodyKind::kForm;
+  sig.request.body = {{FieldLocation::kBody, "page", pattern::FieldTemplate::literal("1"), false}};
+  set.add(sig);
+  TransactionSignature holed = sig;
+  holed.label = "static.item";
+  holed.request.path = pattern::FieldTemplate::parse("/item/{id}");
+  set.add(holed);
+
+  StaticOnlyEngine engine(&set);
+  EXPECT_EQ(engine.statically_complete(), 1u);
+  const auto jobs = engine.session("u", 0).take_prefetches(0);
+  ASSERT_EQ(jobs.size(), 1u);
+  http::Request want;
+  want.method = "POST";
+  want.uri.scheme = "https";
+  want.uri.host = "api.example";
+  want.uri.path = "/search";
+  want.uri.add_query_param("q", "shoes");
+  want.headers.add("X-Client", "android");
+  want.headers.add("X-Debug", "1");
+  want.set_form_fields({{"page", "1"}});
+  EXPECT_EQ(jobs[0].request.serialize(), want.serialize());
+}
+
 }  // namespace
 }  // namespace appx::core

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "core/learning.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "wish_fixture.hpp"
 
@@ -44,9 +46,7 @@ TEST_F(LearningTest, PredecessorAloneDoesNotReadyInstances) {
   EXPECT_EQ(engine_.instances_of(product->id).size(), 2u);
   for (const auto* instance : engine_.instances_of(product->id)) {
     EXPECT_FALSE(instance->ready());
-    const auto missing = instance->missing_holes();
-    EXPECT_FALSE(missing.empty());
-    EXPECT_EQ(std::find(missing.begin(), missing.end(), "wish.product.cid"), missing.end())
+    EXPECT_TRUE(instance->dependency_bindings().contains("wish.product.cid"))
         << "dependency hole should already be bound";
   }
 }
@@ -181,6 +181,37 @@ TEST_F(LearningTest, RuntimeValueUpdatesFollowLatestObservation) {
   EXPECT_EQ(ver->second, "4.14.0");
 }
 
+// Run-time values and the instance class are per signature: one successor
+// observation re-targets every pending instance at once (Fig. 7 case 2).
+TEST_F(LearningTest, SuccessorObservationRetargetsEveryPendingInstance) {
+  const std::vector<std::string> ids{"p1", "p2", "p3", "p4", "p5"};
+  engine_.observe(make_feed_request(), make_feed_response(ids));
+  engine_.observe(make_product_request("p1", /*with_credit=*/true), make_product_response("m", 1));
+  const auto* product = set_.find_by_label("wish.product");
+  const auto expect_all = [&](bool with_credit, const std::string& version) {
+    const auto instances = engine_.instances_of(product->id);
+    ASSERT_EQ(instances.size(), ids.size());
+    for (const RequestInstance* instance : instances) {
+      ASSERT_TRUE(instance->ready());
+      const std::string cid = instance->dependency_bindings().at("wish.product.cid");
+      http::Request want = make_product_request(cid, with_credit);
+      auto fields = want.form_fields();
+      fields[2].second = version;  // _ver
+      want.set_form_fields(fields);
+      EXPECT_EQ(instance->materialize().serialize(), want.serialize());
+    }
+  };
+  expect_all(/*with_credit=*/true, "4.13.0");
+
+  // The app updates and switches to the branch without credit_id.
+  http::Request update = make_product_request("other", /*with_credit=*/false);
+  auto fields = update.form_fields();
+  fields[2].second = "4.14.0";
+  update.set_form_fields(fields);
+  engine_.observe(update, make_product_response("m", 1));
+  expect_all(/*with_credit=*/false, "4.14.0");
+}
+
 TEST_F(LearningTest, ReadyInstancesReemittedForProxyDedup) {
   engine_.observe(make_feed_request(), make_feed_response({"a"}));
   const auto first = engine_.observe(make_product_request("a"), make_product_response("m", 1));
@@ -238,35 +269,63 @@ TEST(RequestInstance, FingerprintDependsOnDependencyBindingsOnly) {
   RequestInstance c(product, {{"wish.product.cid", "y"}});
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_NE(a.fingerprint(), c.fingerprint());
-  b.bind({{"wish.cookie", "zz"}});
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  // Learning run-time values leaves an engine instance's fingerprint alone.
+  LearningEngine engine(&set);
+  engine.observe(make_feed_request(), make_feed_response({"x"}));
+  ASSERT_EQ(engine.instances_of(product->id).size(), 1u);
+  const std::string before = engine.instances_of(product->id)[0]->fingerprint();
+  engine.observe(make_product_request("y"), make_product_response("m", 1));
+  ASSERT_EQ(engine.instances_of(product->id).size(), 1u);
+  EXPECT_TRUE(engine.instances_of(product->id)[0]->ready());
+  EXPECT_EQ(engine.instances_of(product->id)[0]->fingerprint(), before);
 }
 
 TEST_F(LearningTest, InstancePoolEvictionKeepsMemoryBounded) {
   // Streams of huge feeds must not grow the instance pool without bound:
   // issued instances are evicted once the pool passes its cap.
-  std::vector<std::string> ids;
-  for (int round = 0; round < 5; ++round) {
-    ids.clear();
-    for (int i = 0; i < 600; ++i) {
-      ids.push_back("r" + std::to_string(round) + "_" + std::to_string(i));
+  obs::Gauge live;
+  {
+    LearningEngine engine(&set_, nullptr, &live);
+    std::vector<std::string> ids;
+    for (int round = 0; round < 5; ++round) {
+      ids.clear();
+      for (int i = 0; i < 600; ++i) {
+        ids.push_back("r" + std::to_string(round) + "_" + std::to_string(i));
+      }
+      engine.observe(make_feed_request(), make_feed_response(ids));
+      // Mark everything ready+issued by teaching the run-time values.
+      engine.observe(make_product_request(ids[0]), make_product_response("m", 1));
     }
-    engine_.observe(make_feed_request(), make_feed_response(ids));
-    // Mark everything ready+issued by teaching the run-time values.
-    engine_.observe(make_product_request(ids[0]), make_product_response("m", 1));
+    const auto* product = set_.find_by_label("wish.product");
+    EXPECT_LE(engine.instances_of(product->id).size(), 2700u);
+    // Survivors still reach their keys (instances point into the map's key
+    // nodes, so an eviction that left one dangling shows up here under
+    // ASan), and the gauge followed every creation and eviction.
+    std::int64_t total = 0;
+    for (const auto& sig : set_.all()) {
+      for (const RequestInstance* instance : engine.instances_of(sig->id)) {
+        ++total;
+        const Bindings deps = instance->dependency_bindings();
+        ASSERT_EQ(deps.size(), 1u);
+        if (instance->ready()) {
+          EXPECT_NE(instance->materialize().serialize().find(deps.begin()->second),
+                    std::string::npos);
+        }
+      }
+    }
+    EXPECT_GT(total, 0);
+    EXPECT_EQ(live.value(), total);
   }
-  const auto* product = set_.find_by_label("wish.product");
-  EXPECT_LE(engine_.instances_of(product->id).size(), 2700u);
+  EXPECT_EQ(live.value(), 0);  // a destroyed engine takes its share with it
 }
 
 TEST(LearningEngine, NullSignatureSetRejected) {
   EXPECT_THROW(LearningEngine(nullptr), InvalidArgumentError);
 }
 
-// Grouped extraction: two dependency fields reading different paths of the
-// SAME array element must land in the same instance (paper Fig. 12: id and
-// merchant_name of one product feed three different pages).
-TEST(LearningEngine, GroupedArrayFieldsStayTogether) {
+// A list endpoint whose items each feed one item request through two
+// fields (paper Fig. 12: id and merchant_name of one product).
+SignatureSet make_grouped_set() {
   SignatureSet set;
   TransactionSignature pred;
   pred.app = "t";
@@ -292,7 +351,14 @@ TEST(LearningEngine, GroupedArrayFieldsStayTogether) {
   const auto& succ_ref = set.add(succ);
   set.add_edge({pred_ref.id, "items[*].id", succ_ref.id, "d.id"});
   set.add_edge({pred_ref.id, "items[*].token", succ_ref.id, "d.tok"});
+  return set;
+}
 
+// Grouped extraction: two dependency fields reading different paths of the
+// SAME array element must land in the same instance (paper Fig. 12: id and
+// merchant_name of one product feed three different pages).
+TEST(LearningEngine, GroupedArrayFieldsStayTogether) {
+  const SignatureSet set = make_grouped_set();
   LearningEngine engine(&set);
   http::Request req;
   req.uri = http::Uri::parse("https://a.example/list");
@@ -307,6 +373,35 @@ TEST(LearningEngine, GroupedArrayFieldsStayTogether) {
     ASSERT_TRUE(id && tok);
     EXPECT_EQ(id->substr(1), tok->substr(1)) << "mismatched element pairing";
   }
+}
+
+// Values holding separator bytes must not make two different binding sets
+// share one key: under a "k=v\x1f" join the first two items below collided
+// and merged into one instance.
+TEST(LearningEngine, SeparatorBytesInValuesKeepInstancesApart) {
+  const SignatureSet set = make_grouped_set();
+  LearningEngine engine(&set);
+  http::Request req;
+  req.uri = http::Uri::parse("https://a.example/list");
+  http::Response resp;
+  resp.body = R"({"items":[{"id":"1\u001fd.tok=2","token":"3"},)"
+              R"({"id":"1","token":"2\u001fd.tok=3"},{"id":"4:ab","token":"-"},)"
+              R"({"id":"\u0000","token":""}]})";
+  const auto ready = engine.observe(req, resp);
+  ASSERT_EQ(ready.size(), 4u);
+  std::set<std::pair<std::string, std::string>> got;
+  std::set<std::string> requests;
+  for (const auto& rp : ready) {
+    got.emplace(rp.request.uri.query_param("id").value(),
+                rp.request.uri.query_param("tok").value());
+    requests.insert(rp.request.serialize());
+  }
+  const std::set<std::pair<std::string, std::string>> want{{"1\x1f" "d.tok=2", "3"},
+                                                           {"1", "2\x1f" "d.tok=3"},
+                                                           {"4:ab", "-"},
+                                                           {std::string(1, '\0'), ""}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(requests.size(), 4u);
 }
 
 // A scalar dependency shared by every replicated instance (the paper's

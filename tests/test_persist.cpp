@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/learning.hpp"
 #include "core/persist.hpp"
 #include "core/proxy.hpp"
 #include "core/sharded_proxy.hpp"
@@ -309,6 +310,96 @@ TEST_F(PersistEngineTest, ShardedSnapshotRestoresIntoSingleEngine) {
   ProxyEngine single(&restored_set_, &config_, 7);
   EXPECT_EQ(single.restore_from(SnapshotView(builder.finish()), minutes(10)), 3u);
   EXPECT_TRUE(serves_sibling_from_cache(single, "u2", minutes(10)));
+}
+
+// --- learning-state payloads -------------------------------------------------------
+
+void write_bindings(ByteWriter& out, const Bindings& bindings) {
+  out.u32(static_cast<std::uint32_t>(bindings.size()));
+  for (const auto& [k, v] : bindings) {
+    out.str(k);
+    out.str(v);
+  }
+}
+
+void write_strings(ByteWriter& out, const std::vector<std::string>& items) {
+  out.u32(static_cast<std::uint32_t>(items.size()));
+  for (const std::string& item : items) out.str(item);
+}
+
+TEST(LearningPersist, RestoredEngineRepersistsByteIdentically) {
+  const SignatureSet set = make_wish_set();
+  LearningEngine taught(&set);
+  taught.observe(make_feed_request(), make_feed_response({"a", "b", "c"}));
+  taught.observe(make_product_request("a", /*with_credit=*/true), make_product_response("m", 1));
+  taught.observe(make_product_request("b"), make_product_response("n", 2));  // no credit_id
+  ByteWriter wildcards;
+  ByteWriter flows;
+  taught.persist_wildcards(wildcards);
+  taught.persist_flows(flows);
+
+  LearningEngine restored(&set);
+  ByteReader wildcards_in(wildcards.data());
+  restored.restore_wildcards(wildcards_in, LearningEngine::kWildcardsPersistVersion);
+  ByteReader flows_in(flows.data());
+  restored.restore_flows(flows_in, LearningEngine::kFlowsPersistVersion);
+  ByteWriter wildcards_again;
+  ByteWriter flows_again;
+  restored.persist_wildcards(wildcards_again);
+  restored.persist_flows(flows_again);
+  EXPECT_EQ(wildcards_again.data(), wildcards.data());
+  EXPECT_EQ(flows_again.data(), flows.data());
+
+  std::size_t ready = 0;
+  for (const auto& sig : set.all()) {
+    const auto before = taught.instances_of(sig->id);
+    const auto after = restored.instances_of(sig->id);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      ASSERT_EQ(after[i]->ready(), before[i]->ready());
+      if (!before[i]->ready()) continue;
+      ++ready;
+      EXPECT_EQ(after[i]->materialize().serialize(), before[i]->materialize().serialize());
+    }
+  }
+  EXPECT_GT(ready, 0u);
+}
+
+// v1 flows carry each instance's merged (dependency + run-time) values. A
+// run-time value found there but not in the wildcards section still reaches
+// the restored instances.
+TEST(LearningPersist, RuntimeValueOnlyInFlowsIsRestored) {
+  const SignatureSet set = make_wish_set();
+  const auto* product = set.find_by_label("wish.product");
+  const auto match = product->match_ex(make_product_request("x"));
+  ASSERT_TRUE(match && match->bindings.contains("wish.cookie"));
+  Bindings runtime = match->bindings;
+  runtime.erase("wish.product.cid");
+  runtime.erase("wish.cookie");
+
+  ByteWriter wildcards;
+  wildcards.u32(1);
+  wildcards.str(product->id);
+  wildcards.u8(1);
+  write_bindings(wildcards, runtime);
+  write_strings(wildcards, match->absent_optional);
+  ByteWriter flows;
+  flows.u32(1);
+  flows.str(product->id);
+  flows.u32(1);
+  write_bindings(flows, {{"wish.product.cid", "x"}});
+  write_bindings(flows, match->bindings);
+  write_strings(flows, match->absent_optional);
+
+  LearningEngine engine(&set);
+  ByteReader wildcards_in(wildcards.data());
+  engine.restore_wildcards(wildcards_in, 1);
+  ByteReader flows_in(flows.data());
+  engine.restore_flows(flows_in, 1);
+  const auto instances = engine.instances_of(product->id);
+  ASSERT_EQ(instances.size(), 1u);
+  ASSERT_TRUE(instances[0]->ready());
+  EXPECT_EQ(instances[0]->materialize().serialize(), make_product_request("x").serialize());
 }
 
 }  // namespace

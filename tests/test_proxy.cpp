@@ -879,6 +879,32 @@ TEST_F(ProxyTest, StatsDataAccounting) {
   EXPECT_GT(stats.bytes_served_from_cache, 0);
 }
 
+// Live request instances summed over users, so learning-state size is
+// visible from the registry alone.
+TEST_F(ProxyTest, LearningInstancesGaugeTracksLiveInstances) {
+  config_.user_idle_timeout = seconds(30);
+  remake_engine();
+  const auto live = [&](const std::string& user) {
+    std::int64_t count = 0;
+    for (const auto& sig : set_.all()) {
+      count += static_cast<std::int64_t>(engine_->learning_for(user)->instances_of(sig->id).size());
+    }
+    return count;
+  };
+  run_transaction("u1", make_feed_request(), make_feed_response({"a", "b", "c"}), 0);
+  run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 1);
+  ASSERT_GT(live("u1"), 0);
+  EXPECT_EQ(engine_->metrics()->gauge_value("appx_learning_instances"), live("u1"));
+
+  run_transaction("u2", make_feed_request(), make_feed_response({"d", "e"}), 2);
+  EXPECT_EQ(engine_->metrics()->gauge_value("appx_learning_instances"), live("u1") + live("u2"));
+
+  // Evicted users take their instances out of the gauge.
+  run_transaction("u3", make_feed_request(), make_feed_response({"f"}), minutes(10));
+  ASSERT_EQ(engine_->learning_for("u1"), nullptr);
+  EXPECT_EQ(engine_->metrics()->gauge_value("appx_learning_instances"), live("u3"));
+}
+
 TEST_F(ProxyTest, CacheEntriesGaugeTracksRealOccupancy) {
   config_.user_idle_timeout = seconds(30);
   remake_engine();

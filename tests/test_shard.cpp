@@ -98,6 +98,25 @@ TEST(ShardedProxy, UsersLandOnStableShards) {
   EXPECT_EQ(engine.user_count(), 32u);
 }
 
+TEST(ShardedProxy, LearningInstancesGaugeSumsOverShards) {
+  const SignatureSet set = make_wish_set();
+  ProxyConfig config;
+  EngineOptions options;
+  options.shards = 3;
+  ShardedProxyEngine engine(&set, &config, options);
+  std::int64_t expected = 0;
+  for (int i = 0; i < 12; ++i) {
+    const std::string user = "user" + std::to_string(i);
+    drive_user(engine, user);
+    for (const auto& sig : set.all()) {
+      expected +=
+          static_cast<std::int64_t>(engine.learning_for(user)->instances_of(sig->id).size());
+    }
+  }
+  ASSERT_GT(expected, 0);
+  EXPECT_EQ(engine.metrics()->gauge_value("appx_learning_instances"), expected);
+}
+
 TEST(ShardedProxy, MultiThreadedDisjointUsersMatchSingleShardRun) {
   const SignatureSet set = make_wish_set();
   ProxyConfig config;
