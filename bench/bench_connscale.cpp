@@ -225,15 +225,6 @@ int main(int argc, char** argv) {
     print_run("reactor_1loop", connections, 1, r, true);
   }
 
-  // The same reactor on the io_uring completion backend (DESIGN.md §5l);
-  // section absent on kernels without the required support.
-  if (net::uring_supported()) {
-    net::LiveOriginServer server(&origin, 0, /*loop_threads=*/1, "uring");
-    const RunResult r = run_clients(server.port(), request, connections, requests_per_conn);
-    server.stop();
-    print_run("reactor_1loop_uring", connections, 1, r, true);
-  }
-
   // Seed model: one blocking thread per connection.
   {
     ThreadPerConnOrigin server(&origin);

@@ -29,12 +29,7 @@
 // ratio, connection errors, and server RSS per resident user.
 //
 // Usage: bench_macro [--users N] [--duration S] [--ramp S] [--dilation X]
-//                    [--backend epoll|uring|auto] [--data-budget-kb N]
 //                    [--smoke] [--gate-p99-ms X] [--gate-hit-ratio Y]
-//
-// --backend selects the server's event-loop I/O backend (EngineOptions
-// .io_backend); the load generator itself always runs on epoll so an A/B
-// compares servers, not generators.
 #include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -87,13 +82,6 @@ struct Options {
   double settle_s = 5;         // between end of ramp and start of window
   double dilation = 1.0;       // stretch trace think times
   std::size_t loop_threads = 1;
-  std::string backend;  // server io_backend ("" = env/default epoll)
-  // Per-user prefetch data budget (ProxyConfig.data_budget, KB per pacer
-  // window; 0 = app default i.e. unlimited here). Lets an A/B hold
-  // background prefetch volume constant across backends: a faster backend
-  // otherwise drains the prefetch pipeline harder and, on a saturated host,
-  // trades foreground tail latency for background throughput.
-  std::size_t data_budget_kb = 0;
   std::uint64_t seed = 7;
   bool smoke = false;
   double gate_p99_ms = 250;     // smoke gates
@@ -118,8 +106,6 @@ Options parse_args(int argc, char** argv) {
     else if (arg == "--settle") opt.settle_s = std::stod(next());
     else if (arg == "--dilation") opt.dilation = std::stod(next());
     else if (arg == "--loops") opt.loop_threads = std::stoul(next());
-    else if (arg == "--backend") opt.backend = next();
-    else if (arg == "--data-budget-kb") opt.data_budget_kb = std::stoul(next());
     else if (arg == "--seed") opt.seed = std::stoull(next());
     else if (arg == "--gate-p99-ms") opt.gate_p99_ms = std::stod(next());
     else if (arg == "--gate-hit-ratio") opt.gate_hit_ratio = std::stod(next());
@@ -455,8 +441,7 @@ class UserConn : public std::enable_shared_from_this<UserConn> {
     const apps::AppSpec spec = apps::make_wish();
     apps::OriginServer origin(&spec);
     const eval::AnalyzedApp app = eval::analyze_app(spec);
-    core::ProxyConfig config = eval::deployment_config(app);
-    if (opt.data_budget_kb != 0) config.data_budget = opt.data_budget_kb * 1024;
+    const core::ProxyConfig config = eval::deployment_config(app);
 
     core::EngineOptions engine_options;
     engine_options.seed = opt.seed;
@@ -485,7 +470,6 @@ class UserConn : public std::enable_shared_from_this<UserConn> {
     engine_options.conn_idle_timeout = minutes(30);
     engine_options.listen_backlog = 0;  // SOMAXCONN
     engine_options.min_file_descriptors = opt.users + 512;
-    engine_options.io_backend = opt.backend;
 
     core::ShardedProxyEngine engine(&app.analysis.signatures, &config, engine_options);
     net::LiveOriginServer upstream(&origin, 0, /*loop_threads=*/1);
@@ -657,8 +641,6 @@ int main(int argc, char** argv) {
     const long rss_before_kb = read_vm_rss_kb(server_pid);
     const Clock::time_point epoch = Clock::now();
 
-    // The generator stays on epoll regardless of --backend: an A/B run must
-    // vary only the server under test.
     std::vector<std::unique_ptr<net::EventLoop>> loops;
     for (std::size_t i = 0; i < std::max<std::size_t>(1, opt.loop_threads); ++i) {
       loops.push_back(net::make_epoll_event_loop());
@@ -720,7 +702,7 @@ int main(int argc, char** argv) {
 
     std::printf("{\n  \"macro\": {\n");
     std::printf("    \"loop\": \"open\",\n");
-    std::printf("    \"io_backend\": \"%s\",\n", net::resolve_io_backend(opt.backend).c_str());
+    std::printf("    \"io_backend\": \"epoll\",\n");
     std::printf("    \"users\": %zu, \"base_users\": %zu, \"replicas\": %zu,\n", sessions.size(),
                 base_traces.size(), scale.replicas);
     std::printf("    \"ramp_s\": %.1f, \"settle_s\": %.1f, \"window_s\": %.1f, "

@@ -1,5 +1,5 @@
 // bench_syscalls: syscalls/request on the serving data plane's warm-hit
-// path, per event-loop backend (DESIGN.md §5l).
+// path through the epoll reactor (DESIGN.md §5l).
 //
 // Runs the full live stack in-process — wish origin, sharded engine,
 // LiveProxyServer on ONE loop thread — primes the prefetch cache exactly the
@@ -7,15 +7,12 @@
 // drives C concurrent keep-alive clients through repeated cache-hit detail
 // requests and diffs the net::sys syscall counters across the measured
 // window. The counters cover only the serving plane (reactor waits,
-// epoll_ctl, conn recv/sendmsg, accept4, eventfd wakes, io_uring
-// enter/register); blocking client and upstream sockets are deliberately
-// uncounted — see src/net/syscount.hpp.
+// epoll_ctl, conn recv/sendmsg, accept4, eventfd wakes); blocking client and
+// upstream sockets are deliberately uncounted — see src/net/syscount.hpp.
 //
-// One section per backend: epoll always, uring when the kernel supports it.
 // Output is a JSON object on stdout (recorded in BENCH_micro.json under
 // "syscall_plane"). With `--budget <file.json>` it doubles as the CI gate:
-// exits nonzero when a backend exceeds its absolute syscalls/request budget
-// or uring fails the required relative drop vs epoll.
+// exits nonzero when the warm-hit path exceeds its syscalls/request budget.
 //
 // Usage: bench_syscalls [--conns N] [--requests N] [--budget bench/syscall_budget.json]
 #include <cstdio>
@@ -31,7 +28,6 @@
 #include "apps/server.hpp"
 #include "core/sharded_proxy.hpp"
 #include "json/json.hpp"
-#include "net/event_loop.hpp"
 #include "net/http_io.hpp"
 #include "net/servers.hpp"
 #include "net/socket.hpp"
@@ -107,8 +103,7 @@ class Client {
   net::HttpReader reader_;
 };
 
-struct BackendResult {
-  std::string backend;
+struct Result {
   std::size_t requests = 0;
   std::size_t hits = 0;
   std::uint64_t origin_requests = 0;  // in-window origin traffic (should be ~0)
@@ -116,8 +111,7 @@ struct BackendResult {
   double per_request = 0;
 };
 
-BackendResult measure(const std::string& backend, std::size_t conns,
-                      std::size_t requests_per_conn) {
+Result measure(std::size_t conns, std::size_t requests_per_conn) {
   const apps::AppSpec spec = apps::make_wish();
   apps::OriginServer origin(&spec);
   const analysis::AnalysisResult analysis = analysis::analyze(apps::compile_app(spec));
@@ -126,9 +120,8 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   core::EngineOptions engine_options;
   engine_options.seed = 3;
   engine_options.loop_threads = 1;
-  engine_options.io_backend = backend;
   core::ShardedProxyEngine engine(&analysis.signatures, &config, engine_options);
-  net::LiveOriginServer upstream(&origin, 0, /*loop_threads=*/1, backend);
+  net::LiveOriginServer upstream(&origin, 0, /*loop_threads=*/1);
   net::LiveProxyServer::UpstreamMap upstreams;
   for (const apps::EndpointSpec& ep : spec.endpoints) upstreams[ep.host] = upstream.port();
   net::LiveProxyServer proxy(&engine, std::move(upstreams), 0, engine_options);
@@ -174,8 +167,7 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   const net::sys::Counters after = net::sys::snapshot();
   const std::uint64_t origin_after = upstream.requests_served();
 
-  BackendResult result;
-  result.backend = backend;
+  Result result;
   result.requests = conns * requests_per_conn;
   for (const std::size_t h : hits) result.hits += h;
   result.origin_requests = origin_after - origin_before;
@@ -185,23 +177,20 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   return result;
 }
 
-void print_result(const BackendResult& r, bool last) {
-  std::printf("    \"%s\": {\n", r.backend.c_str());
+void print_result(const Result& r) {
+  std::printf("    \"epoll\": {\n");
   std::printf("      \"syscalls_per_request\": %.2f,\n", r.per_request);
   std::printf("      \"requests\": %zu, \"hits\": %zu, \"origin_requests_in_window\": %llu,\n",
               r.requests, r.hits, static_cast<unsigned long long>(r.origin_requests));
   std::printf("      \"breakdown_total\": {\"wait\": %llu, \"ctl\": %llu, \"read\": %llu, "
-              "\"write\": %llu, \"accept\": %llu, \"wake\": %llu, \"enter\": %llu, "
-              "\"register\": %llu}\n",
+              "\"write\": %llu, \"accept\": %llu, \"wake\": %llu}\n",
               static_cast<unsigned long long>(r.delta.wait),
               static_cast<unsigned long long>(r.delta.ctl),
               static_cast<unsigned long long>(r.delta.read),
               static_cast<unsigned long long>(r.delta.write),
               static_cast<unsigned long long>(r.delta.accept),
-              static_cast<unsigned long long>(r.delta.wake),
-              static_cast<unsigned long long>(r.delta.enter),
-              static_cast<unsigned long long>(r.delta.reg));
-  std::printf("    }%s\n", last ? "" : ",");
+              static_cast<unsigned long long>(r.delta.wake));
+  std::printf("    }\n");
 }
 
 }  // namespace
@@ -228,28 +217,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const BackendResult epoll = measure("epoll", conns, requests_per_conn);
-  const bool uring_available = appx::net::uring_supported();
-  BackendResult uring;
-  if (uring_available) uring = measure("uring", conns, requests_per_conn);
-
-  const double drop =
-      uring_available && epoll.per_request > 0
-          ? 1.0 - uring.per_request / epoll.per_request
-          : 0.0;
+  const Result epoll = measure(conns, requests_per_conn);
 
   std::printf("{\n  \"syscall_plane\": {\n");
   std::printf("    \"conns\": %zu, \"requests_per_conn\": %zu,\n", conns, requests_per_conn);
   std::printf("    \"note\": \"server-side syscalls per warm-hit request, one loop thread; "
               "in-code counters (src/net/syscount.hpp), client/upstream sockets "
               "uncounted\",\n");
-  print_result(epoll, false);
-  if (uring_available) {
-    print_result(uring, false);
-    std::printf("    \"uring_drop_vs_epoll\": %.3f\n", drop);
-  } else {
-    std::printf("    \"uring\": null\n");
-  }
+  print_result(epoll);
   std::printf("  }\n}\n");
 
   if (budget_path != nullptr) {
@@ -263,30 +238,8 @@ int main(int argc, char** argv) {
                    epoll.per_request, epoll_max);
       return 1;
     }
-    if (!uring_available) {
-      std::fprintf(stderr, "bench_syscalls: within budget (epoll %.2f <= %.2f); uring gates "
-                           "skipped — kernel lacks io_uring support\n",
-                   epoll.per_request, epoll_max);
-      return 0;
-    }
-    const double uring_max = budget.at("uring_syscalls_per_request").as_double();
-    const double min_drop = budget.at("uring_min_drop_vs_epoll").as_double();
-    if (uring.per_request > uring_max) {
-      std::fprintf(stderr, "bench_syscalls: uring warm-hit path costs %.2f syscalls/request, "
-                           "budget %.2f\n",
-                   uring.per_request, uring_max);
-      return 1;
-    }
-    if (drop < min_drop) {
-      std::fprintf(stderr, "bench_syscalls: uring drops only %.0f%% of epoll's "
-                           "syscalls/request (%.2f -> %.2f); budget requires >= %.0f%%\n",
-                   drop * 100, epoll.per_request, uring.per_request, min_drop * 100);
-      return 1;
-    }
-    std::fprintf(stderr, "bench_syscalls: within budget (epoll %.2f <= %.2f, uring %.2f <= "
-                         "%.2f, drop %.0f%% >= %.0f%%)\n",
-                 epoll.per_request, epoll_max, uring.per_request, uring_max, drop * 100,
-                 min_drop * 100);
+    std::fprintf(stderr, "bench_syscalls: within budget (epoll %.2f <= %.2f)\n",
+                 epoll.per_request, epoll_max);
   }
   return 0;
 }

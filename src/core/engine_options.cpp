@@ -36,12 +36,6 @@ util::Error EngineOptions::validate() const {
         "EngineOptions.listen_backlog must be >= 0 (0 = SOMAXCONN, the system "
         "maximum accept-queue depth)");
   }
-  if (io_backend != "" && io_backend != "epoll" && io_backend != "uring" &&
-      io_backend != "auto") {
-    return util::Error::failure(
-        "EngineOptions.io_backend must be \"\" (environment/default), \"epoll\", "
-        "\"uring\" or \"auto\"");
-  }
   if (conn_idle_timeout < 0) {
     return util::Error::failure(
         "EngineOptions.conn_idle_timeout must be >= 0 (0 disables the idle timer)");

@@ -79,13 +79,6 @@ struct EngineOptions {
   // outnumber the loops).
   std::size_t loop_threads = 0;
   std::size_t request_workers = 0;
-  // Event-loop I/O backend (DESIGN.md §5l): "epoll" (readiness mode, the
-  // default), "uring" (io_uring completion mode; construction fails on
-  // kernels without the required support), or "auto" (uring when supported,
-  // else epoll). "" defers to the APPX_IO_BACKEND environment variable
-  // (default epoll), so whole test/bench suites can be re-run under a
-  // different backend without touching call sites.
-  std::string io_backend;
   // listen(2) accept-queue depth per listener; 0 = SOMAXCONN. The queue must
   // absorb connection storms (an open-loop ramp to 10k clients): when it
   // fills, the kernel silently drops SYNs and clients see connect timeouts.

@@ -1,14 +1,13 @@
-// Backend-independent EventLoop machinery: the task queue with its
-// armed-flag wake elision, the timer min-heap with lazy cancellation, the
-// loop-thread marker, and the backend factory. The kernel-facing halves live
-// in event_loop_epoll.cpp and event_loop_uring.cpp.
+// The epoll reactor: fd dispatch keyed by (generation, fd), the task queue
+// with its armed-flag wake elision, and the timer min-heap with lazy
+// cancellation.
 #include "net/event_loop.hpp"
 
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -29,14 +28,28 @@ const void* this_thread_marker() {
   static thread_local char marker;
   return &marker;
 }
+
+// Events carry (generation, fd) so a stale event for a recycled fd number is
+// recognisable; see Handler::gen.
+std::uint64_t pack_key(std::uint32_t gen, int fd) {
+  return (static_cast<std::uint64_t>(gen) << 32) | static_cast<std::uint32_t>(fd);
+}
 }  // namespace
 
-EventLoop::EventLoop() {
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) fail_errno("eventfd");
+EventLoop::EventLoop()
+    : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)), wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (!epoll_fd_.valid()) fail_errno("epoll_create1");
+  if (!wake_fd_.valid()) fail_errno("eventfd");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = pack_key(/*gen=*/0, wake_fd_.get());
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev) != 0) {
+    fail_errno("epoll_ctl(wakeup)");
+  }
 }
 
 EventLoop::~EventLoop() {
+  handlers_.clear();
   // Destroy undelivered tasks outside the lock: their destructors may release
   // connection handles whose teardown is arbitrary user code.
   std::vector<Task> leftover;
@@ -44,27 +57,105 @@ EventLoop::~EventLoop() {
     const std::lock_guard<std::mutex> lock(tasks_mutex_);
     leftover.swap(tasks_);
   }
-  leftover.clear();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 bool EventLoop::on_loop_thread() const {
   return loop_thread_id_.load(std::memory_order_relaxed) == this_thread_marker();
 }
 
-void EventLoop::mark_loop_thread() {
-  loop_thread_id_.store(this_thread_marker(), std::memory_order_relaxed);
+void EventLoop::add_fd(int fd, std::uint32_t events, FdCallback callback) {
+  auto handler = std::make_shared<Handler>();
+  handler->events = events;
+  handler->gen = next_gen_++;
+  if (next_gen_ == 0) next_gen_ = 1;  // keep 0 reserved for the wakeup fd
+  handler->callback = std::move(callback);
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = pack_key(handler->gen, fd);
+  sys::count(sys::Op::kCtl);
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) fail_errno("epoll_ctl(add)");
+  handlers_[fd] = std::move(handler);
+  fd_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void EventLoop::clear_loop_thread() {
+void EventLoop::mod_fd(int fd, std::uint32_t events) {
+  const auto it = handlers_.find(fd);
+  if (it == handlers_.end()) return;
+  if (it->second->events == events) return;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = pack_key(it->second->gen, fd);
+  sys::count(sys::Op::kCtl);
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) != 0) fail_errno("epoll_ctl(mod)");
+  it->second->events = events;
+}
+
+void EventLoop::del_fd(int fd) {
+  const auto it = handlers_.find(fd);
+  if (it == handlers_.end()) return;
+  // The fd may already be closed (kernel removed it from the set); ignore.
+  sys::count(sys::Op::kCtl);
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+  handlers_.erase(it);
+  fd_count_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void EventLoop::run() {
+  loop_thread_id_.store(this_thread_marker(), std::memory_order_relaxed);
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
+  while (!stopping()) {
+    drain_tasks();
+    fire_due_timers();
+    if (stopping()) break;
+    // arm_sleep() false means tasks/stop raced in after the drain: poll with
+    // a zero timeout instead of blocking past them.
+    const int timeout = arm_sleep() ? next_timeout_ms() : 0;
+    sys::count(sys::Op::kWait);
+    const int n = ::epoll_wait(epoll_fd_.get(), events, kMaxEvents, timeout);
+    sleep_armed_.store(false, std::memory_order_relaxed);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail_errno("epoll_wait");
+    }
+    for (int i = 0; i < n; ++i) dispatch(events[i].data.u64, events[i].events);
+  }
+  // Final drain: tasks queued alongside the stop (e.g. a close-all) run;
+  // anything posted later is destroyed by the destructor instead.
+  drain_tasks();
   loop_thread_id_.store(nullptr, std::memory_order_relaxed);
+}
+
+void EventLoop::dispatch(std::uint64_t key, std::uint32_t events) {
+  const int fd = static_cast<int>(key & 0xffffffffULL);
+  if (fd == wake_fd_.get()) {
+    std::uint64_t counter;
+    sys::count(sys::Op::kRead);
+    while (::read(fd, &counter, sizeof counter) > 0) {
+    }
+    return;
+  }
+  const auto it = handlers_.find(fd);
+  if (it == handlers_.end()) return;  // removed by an earlier callback
+  // Generation mismatch: the fd closed during this batch and its number was
+  // reused by a new registration (e.g. an accept in the same batch). The
+  // queued event belongs to the dead registration; drop it.
+  if (it->second->gen != static_cast<std::uint32_t>(key >> 32)) return;
+  // Keep the handler alive across the call: the callback may del_fd (closing
+  // a connection closes its own registration).
+  const std::shared_ptr<Handler> handler = it->second;
+  try {
+    handler->callback(events);
+  } catch (const std::exception& e) {
+    log_error("net.loop") << "fd callback threw: " << e.what();
+  }
 }
 
 void EventLoop::wake() {
   const std::uint64_t one = 1;
   sys::count(sys::Op::kWake);
   // A full eventfd counter (EAGAIN) already guarantees a pending wakeup.
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_.get(), &one, sizeof one);
 }
 
 void EventLoop::stop() {
@@ -162,36 +253,12 @@ void EventLoop::fire_due_timers() {
   }
 }
 
-// Completion-op defaults: readiness-mode backends report "unsupported" and
-// callers fall back to add_fd/mod_fd/del_fd.
-bool EventLoop::submit_recv(int, void*, std::size_t, IoCallback) { return false; }
-bool EventLoop::submit_sendmsg(int, const msghdr*, IoCallback) { return false; }
-bool EventLoop::submit_accept(int, AcceptCallback) { return false; }
-void EventLoop::cancel_fd(int) {}
+std::unique_ptr<EventLoop> make_epoll_event_loop() { return std::make_unique<EventLoop>(); }
 
 std::string resolve_io_backend(std::string_view configured) {
-  std::string backend(configured);
-  if (backend.empty()) {
-    const char* env = std::getenv("APPX_IO_BACKEND");
-    backend = (env != nullptr && *env != '\0') ? env : "epoll";
-  }
-  if (backend == "auto") return uring_supported() ? "uring" : "epoll";
-  if (backend == "epoll") return backend;
-  if (backend == "uring") {
-    if (!uring_supported()) {
-      throw InvalidArgumentError(
-          "io_backend=uring: this kernel lacks the required io_uring support "
-          "(need >= 5.11 with EXT_ARG timeouts); use \"auto\" to fall back to epoll");
-    }
-    return backend;
-  }
-  throw InvalidArgumentError("unknown io_backend \"" + backend +
-                             "\" (expected \"epoll\", \"uring\" or \"auto\")");
-}
-
-std::unique_ptr<EventLoop> make_event_loop(std::string_view backend) {
-  if (resolve_io_backend(backend) == "uring") return make_uring_event_loop();
-  return make_epoll_event_loop();
+  if (configured.empty() || configured == "epoll") return "epoll";
+  throw InvalidArgumentError("unknown io_backend \"" + std::string(configured) +
+                             "\" (the only backend is \"epoll\")");
 }
 
 }  // namespace appx::net

@@ -1,33 +1,22 @@
-// Event-loop interface of the network runtime (DESIGN.md §5g/§5l), with two
-// backends behind it:
+// The network runtime's reactor (DESIGN.md §5g): one epoll instance on one
+// thread, multiplexing three event sources:
 //
-//   * EpollEventLoop — the readiness-mode reactor: one epoll instance, level-
-//     triggered fd callbacks. The default everywhere.
-//   * UringEventLoop — a completion-mode io_uring backend (raw syscalls, no
-//     liburing): the same readiness contract via re-armed one-shot POLL_ADD
-//     (re-arming re-checks the readiness *level*, which multishot poll would
-//     not — the re-arm SQEs ride the next batched enter for free), plus a
-//     completion-op extension (submit_recv/submit_sendmsg/submit_accept) the
-//     servers use to run whole request/response exchanges with one batched
-//     io_uring_enter per loop iteration. Feature-detected at runtime
-//     (uring_supported()); kernels without it fall back under "auto".
-//
-// One EventLoop runs on one thread and multiplexes three event sources:
-//
-//   * file descriptors — add_fd/mod_fd/del_fd register a callback invoked
-//     with the ready-event mask. Handlers are reference-counted internally,
-//     so a callback may del_fd its own descriptor (or another handler's)
-//     mid-dispatch without use-after-free.
+//   * file descriptors — add_fd/mod_fd/del_fd register a level-triggered
+//     callback invoked with the ready-event mask. Handlers are
+//     reference-counted internally, so a callback may del_fd its own
+//     descriptor (or another handler's) mid-dispatch without use-after-free,
+//     and events carry a registration generation, so a stale event queued
+//     for a closed fd whose number was recycled within the same epoll_wait
+//     batch is dropped instead of reaching the new handler.
 //   * timers — a min-heap of deadlines with lazy cancellation, driving the
 //     idle/slow-loris timeouts of the live servers. Firing and cancelling
-//     are loop-thread-only and O(log n). Timers ride the backend's own wait
-//     primitive (epoll_wait timeout / io_uring_enter EXT_ARG) — they never
-//     cost an extra fd or syscall.
+//     are loop-thread-only and O(log n). Timers ride the epoll_wait timeout —
+//     they never cost an extra fd or syscall.
 //   * cross-thread tasks — post() enqueues a closure from any thread and
 //     wakes the loop via an eventfd, but only when the loop may actually be
-//     sleeping: an "armed" flag set before the backend blocks elides the
-//     wake write(2) while the loop is busy, so completion storms from the
-//     worker pool don't pay one syscall each.
+//     sleeping: an "armed" flag set before epoll_wait blocks elides the wake
+//     write(2) while the loop is busy, so completion storms from the worker
+//     pool don't pay one syscall each.
 //
 // Lifecycle: run() blocks until stop(); tasks already queued when stop() is
 // observed still run (a close-all posted together with stop is guaranteed to
@@ -35,8 +24,6 @@
 // when the loop is destructed — their captured resources (connection
 // handles) release through RAII.
 #pragma once
-
-#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -50,6 +37,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/socket.hpp"
+
 namespace appx::net {
 
 class EventLoop {
@@ -57,21 +46,15 @@ class EventLoop {
   using FdCallback = std::function<void(std::uint32_t events)>;
   using Task = std::function<void()>;
   using TimePoint = std::chrono::steady_clock::time_point;
-  // Completion-op result: bytes transferred (>= 0) or -errno. The buffer a
-  // submitted op reads from / writes into is owned by the caller and must
-  // stay alive until the callback runs (see DESIGN.md §5l): callbacks
-  // capture the owning connection handle, which is what enforces it.
-  using IoCallback = std::function<void(int res)>;
-  // Accepted client fd (>= 0) or -errno when the listener is cancelled.
-  using AcceptCallback = std::function<void(int fd)>;
 
-  virtual ~EventLoop();
+  EventLoop();
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   // Runs the loop on the calling thread until stop(). Dispatches fd events,
   // fires due timers, and drains posted tasks each iteration.
-  virtual void run() = 0;
+  void run();
 
   // Thread-safe. Wakes the loop; run() returns after draining the tasks that
   // were queued when the stop was observed.
@@ -83,35 +66,13 @@ class EventLoop {
 
   // --- fd readiness watching (loop thread only) -----------------------------
 
-  // Register `fd` for the epoll `events` mask (EPOLLIN/EPOLLOUT/...). Both
-  // backends deliver the same mask semantics (level-triggered).
-  virtual void add_fd(int fd, std::uint32_t events, FdCallback callback) = 0;
-  // Change the event mask of a registered fd.
-  virtual void mod_fd(int fd, std::uint32_t events) = 0;
+  // Register `fd` for the epoll `events` mask (EPOLLIN/EPOLLOUT/...),
+  // level-triggered.
+  void add_fd(int fd, std::uint32_t events, FdCallback callback);
+  // Change the event mask of a registered fd (no syscall when unchanged).
+  void mod_fd(int fd, std::uint32_t events);
   // Deregister. Safe to call from inside the fd's own callback.
-  virtual void del_fd(int fd) = 0;
-
-  // --- completion-mode ops (loop thread only; uring backend) ----------------
-  //
-  // All return/accept false on backends without completion support (epoll),
-  // where callers fall back to the readiness API. Submissions are batched:
-  // nothing hits the kernel until the loop's next io_uring_enter, so a
-  // response write + next-request read + accept re-arm ride one syscall.
-
-  virtual bool supports_completions() const { return false; }
-  // One recv into caller-owned [buf, buf+len); cb(bytes or -errno).
-  virtual bool submit_recv(int fd, void* buf, std::size_t len, IoCallback cb);
-  // One sendmsg of a caller-owned msghdr/iovec (MSG_NOSIGNAL applied);
-  // cb(bytes or -errno). The iovec array and the bytes it points at must
-  // outlive the callback.
-  virtual bool submit_sendmsg(int fd, const msghdr* msg, IoCallback cb);
-  // Multishot accept on a listening fd: cb fires once per accepted
-  // connection (SOCK_NONBLOCK|SOCK_CLOEXEC applied) until cancel_fd.
-  virtual bool submit_accept(int listen_fd, AcceptCallback cb);
-  // Cancel every in-flight completion op on `fd` (by op token, so a
-  // concurrently closed/reused fd number cannot be confused) and release the
-  // fd's registered-file slot. Pending callbacks are dropped, not invoked.
-  virtual void cancel_fd(int fd);
+  void del_fd(int fd);
 
   // --- timers (loop thread only) --------------------------------------------
 
@@ -129,13 +90,14 @@ class EventLoop {
   std::size_t pending_tasks() const { return pending_tasks_.load(std::memory_order_relaxed); }
   // True when called on the thread currently inside run().
   bool on_loop_thread() const;
-  // "epoll" or "uring".
-  virtual const char* backend_name() const = 0;
 
- protected:
-  EventLoop();
-
-  // --- shared machinery for backends ----------------------------------------
+ private:
+  struct Handler {
+    std::uint32_t events = 0;
+    // Registration generation, stamped into epoll_data alongside the fd.
+    std::uint32_t gen = 0;
+    FdCallback callback;
+  };
 
   // Write the wakeup eventfd (a full counter already guarantees a wakeup).
   void wake();
@@ -143,22 +105,23 @@ class EventLoop {
   void drain_tasks();
   void fire_due_timers();
   // Milliseconds until the next live timer, -1 when none. Pops lazily
-  // cancelled heap heads in place (loop thread only).
+  // cancelled heap heads in place.
   int next_timeout_ms();
   // Arm the sleep flag and re-check for work that raced in. Returns false
-  // when tasks are already pending or stop was requested — the backend must
-  // then poll with a zero timeout instead of blocking. Pair every arm with
-  // disarm_sleep() after the kernel wait returns.
+  // when tasks are already pending or stop was requested — run() then polls
+  // with a zero timeout instead of blocking. The flag is cleared again after
+  // epoll_wait returns.
   bool arm_sleep();
-  void disarm_sleep() { sleep_armed_.store(false, std::memory_order_relaxed); }
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
-  void mark_loop_thread();
-  void clear_loop_thread();
+  // Dispatch one epoll event to its handler (or drain the wakeup eventfd).
+  void dispatch(std::uint64_t key, std::uint32_t events);
 
-  int wake_fd_ = -1;
+  Fd epoll_fd_;
+  Fd wake_fd_;
+  std::unordered_map<int, std::shared_ptr<Handler>> handlers_;
+  std::uint32_t next_gen_ = 1;  // 0 is reserved for the wakeup fd
   std::atomic<std::size_t> fd_count_{0};
 
- private:
   std::atomic<bool> stopping_{false};
   // Dekker-style handshake with post(): the loop stores true then loads
   // pending_tasks_; a poster bumps pending_tasks_ then loads this. Under the
@@ -183,25 +146,11 @@ class EventLoop {
   std::unordered_map<std::uint64_t, Task> timer_tasks_;
 };
 
-// True when this kernel can run UringEventLoop (io_uring_setup succeeds, the
-// required opcodes probe as supported, and EXT_ARG timeouts exist — kernel
-// >= 5.11; multishot accept is newer and degrades internally). Cached after
-// the first call. APPX_NO_URING=1 forces false (CI escape hatch).
-bool uring_supported();
-
-// Map a configured backend name ("", "epoll", "uring", "auto") to the
-// backend to instantiate. "" reads APPX_IO_BACKEND from the environment
-// (default "epoll"); "auto" resolves to "uring" when supported, else
-// "epoll"; an explicit "uring" on an unsupporting kernel throws — it never
-// silently degrades. Any other name throws InvalidArgumentError.
-std::string resolve_io_backend(std::string_view configured);
-
-// Construct the backend resolve_io_backend() picks.
-std::unique_ptr<EventLoop> make_event_loop(std::string_view backend = {});
-
-// Concrete backend factories (make_event_loop resolves names onto these; the
-// conformance tests instantiate them directly).
+// Heap-allocates a loop (callers that keep loops behind a pointer).
 std::unique_ptr<EventLoop> make_epoll_event_loop();
-std::unique_ptr<EventLoop> make_uring_event_loop();  // throws when !uring_supported()
+
+// Name of the event-loop backend for provenance lines: "" or "epoll" give
+// "epoll", the only backend; any other name throws InvalidArgumentError.
+std::string resolve_io_backend(std::string_view configured);
 
 }  // namespace appx::net

@@ -1,7 +1,5 @@
 #include "net/servers.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -24,10 +22,6 @@ namespace appx::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 16 * 1024;
-// Completion-mode read buffer: a per-connection member (it must outlive the
-// in-flight recv op), so sized for requests rather than throughput — 4 KiB
-// keeps 10k connections at ~40 MB instead of 160 MB.
-constexpr std::size_t kCompletionReadChunk = 4 * 1024;
 // Max chunks per sendmsg batch; a response is at most head + body, so 8
 // covers several pipelined responses in one syscall.
 constexpr std::size_t kMaxIov = 8;
@@ -140,7 +134,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
         dispatch_(std::move(dispatch)),
         on_closed_(std::move(on_closed)),
         first_byte_hist_(first_byte_hist),
-        completion_(loop->supports_completions()),
         last_activity_(std::chrono::steady_clock::now()),
         accepted_(last_activity_) {}
 
@@ -149,16 +142,11 @@ class Conn : public std::enable_shared_from_this<Conn> {
   // Per-(connection, user) resolved engine sessions (see LiveProxyServer).
   std::map<std::string, core::Session, std::less<>> sessions;
 
-  // Loop thread: register with the loop (completion mode: submit the first
-  // recv instead — no readiness registration exists) and arm the idle timer.
+  // Loop thread: register with the loop and arm the idle timer.
   void start() {
-    if (completion_) {
-      submit_read();
-    } else {
-      events_ = EPOLLIN;
-      loop_->add_fd(fd(), events_,
-                    [self = shared_from_this()](std::uint32_t ev) { self->on_events(ev); });
-    }
+    events_ = EPOLLIN;
+    loop_->add_fd(fd(), events_,
+                  [self = shared_from_this()](std::uint32_t ev) { self->on_events(ev); });
     arm_idle_timer(last_activity_ + std::chrono::microseconds(idle_timeout_));
   }
 
@@ -247,82 +235,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
     }
   }
 
-  // --- completion-mode I/O (uring backend) ----------------------------------
-  //
-  // The same state machine as the readiness path, but driven by op
-  // completions: exactly one recv and at most one sendmsg are in flight per
-  // connection at any time, their buffers owned by the connection (DESIGN.md
-  // §5l). Submissions batch into the loop's next io_uring_enter.
-
-  void submit_read() {
-    if (closed_ || read_inflight_ || !want_read()) return;
-    if (rbuf_ == nullptr) rbuf_ = std::make_unique<char[]>(kCompletionReadChunk);
-    read_inflight_ = true;
-    loop_->submit_recv(fd(), rbuf_.get(), kCompletionReadChunk,
-                       [self = shared_from_this()](int res) { self->on_read_complete(res); });
-  }
-
-  void on_read_complete(int res) {
-    read_inflight_ = false;
-    if (closed_) return;
-    if (res > 0) {
-      if (!discarding_) parser_.append(rbuf_.get(), static_cast<std::size_t>(res));
-    } else if (res == 0) {
-      peer_eof_ = true;
-    } else if (res == -ECANCELED || res == -EBADF) {
-      return;  // cancelled by a racing close
-    } else if (res != -EINTR && res != -EAGAIN) {
-      close();
-      return;
-    }
-    pump();
-    if (closed_) return;
-    finish_io_round();
-  }
-
-  // One sendmsg op over the head of the pending-write queue. The iovec array
-  // and msghdr are members: the kernel reads them after this frame returns.
-  void submit_write() {
-    if (closed_ || write_inflight_ || out_.empty()) return;
-    std::size_t niov = 0;
-    std::size_t offset = out_off_;
-    for (const OutChunk& chunk : out_) {
-      if (niov == kMaxIov) break;
-      const std::string_view bytes = chunk.bytes();
-      wiov_[niov].iov_base = const_cast<char*>(bytes.data() + offset);
-      wiov_[niov].iov_len = bytes.size() - offset;
-      ++niov;
-      offset = 0;
-    }
-    wmsg_ = msghdr{};
-    wmsg_.msg_iov = wiov_;
-    wmsg_.msg_iovlen = niov;
-    write_inflight_ = true;
-    loop_->submit_sendmsg(fd(), &wmsg_,
-                          [self = shared_from_this()](int res) { self->on_write_complete(res); });
-  }
-
-  void on_write_complete(int res) {
-    write_inflight_ = false;
-    if (closed_) return;
-    if (res < 0) {
-      if (res == -EINTR || res == -EAGAIN) {
-        submit_write();
-        return;
-      }
-      if (res == -ECANCELED || res == -EBADF) return;
-      close();
-      return;
-    }
-    record_first_byte(res);
-    consume_out(static_cast<std::size_t>(res));
-    if (!out_.empty()) {
-      submit_write();
-      return;
-    }
-    finish_io_round();
-  }
-
   // Dispatch buffered complete messages, one in flight at a time. The
   // in_pump_ guard breaks recursion when an inline dispatch (admin, origin)
   // completes synchronously: its finish_request() sees the guard and the
@@ -394,13 +306,8 @@ class Conn : public std::enable_shared_from_this<Conn> {
 
   // Write as much of the pending queue as the socket accepts, batching
   // chunks (response head + body, plus any pipelined successors) into one
-  // sendmsg. EAGAIN leaves the rest for EPOLLOUT. Completion mode submits
-  // the batch as an op instead and continues from on_write_complete.
+  // sendmsg. EAGAIN leaves the rest for EPOLLOUT.
   void flush() {
-    if (completion_) {
-      submit_write();
-      return;
-    }
     while (!out_.empty() && !closed_) {
       struct iovec iov[kMaxIov];
       std::size_t niov = 0;
@@ -457,25 +364,20 @@ class Conn : public std::enable_shared_from_this<Conn> {
   }
 
   // End-of-round bookkeeping: progress the discard sequence, close on
-  // drained EOF, and reconcile read interest (epoll mask / next recv op)
-  // with what we now want.
+  // drained EOF, and reconcile the epoll mask with what we now want.
   void finish_io_round() {
     if (closed_) return;
-    if (discarding_ && out_.empty() && !write_inflight_ && !write_shutdown_) {
+    if (discarding_ && out_.empty() && !write_shutdown_) {
       stream_.shutdown_write();
       write_shutdown_ = true;
       drain_timer_ = loop_->add_timer(std::chrono::steady_clock::now() + kDiscardDrain,
                                       [self = shared_from_this()] { self->close(); });
     }
-    if (peer_eof_ && out_.empty() && !write_inflight_ && !processing_) {
+    if (peer_eof_ && out_.empty() && !processing_) {
       close();
       return;
     }
-    if (completion_) {
-      submit_read();
-    } else {
-      update_events();
-    }
+    update_events();
   }
 
   // Reading continues while a request is being processed — pipelined bytes
@@ -582,19 +484,9 @@ class Conn : public std::enable_shared_from_this<Conn> {
       drain_timer_ = 0;
     }
     const int conn_fd = fd();
-    if (completion_) {
-      // Cancel in-flight ops (their callbacks are dropped, the loop swallows
-      // the CQEs) and release the registered-file slot before the fd closes.
-      loop_->cancel_fd(conn_fd);
-    } else {
-      loop_->del_fd(conn_fd);
-    }
+    loop_->del_fd(conn_fd);
     stream_ = TcpStream(Fd{});  // close the descriptor now, not at last ref
-    // A submitted sendmsg op still references out_'s bytes and the member
-    // iovecs; its pending callback holds a ref on this Conn past the CQE, so
-    // deferring the clear to the destructor is what keeps the kernel's view
-    // of those buffers valid.
-    if (!write_inflight_) out_.clear();
+    out_.clear();
     if (on_closed_) on_closed_(conn_fd);
   }
 
@@ -620,16 +512,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
   std::vector<std::string> head_pool_;
   std::size_t out_off_ = 0;  // bytes of out_.front() already written
   std::uint32_t events_ = 0;
-
-  // Completion-mode state: op buffers owned by the connection so they
-  // outlive the in-flight kernel ops (allocated lazily; epoll conns never
-  // touch them).
-  const bool completion_;
-  bool read_inflight_ = false;
-  bool write_inflight_ = false;
-  std::unique_ptr<char[]> rbuf_;
-  struct iovec wiov_[kMaxIov];
-  struct msghdr wmsg_{};
 
   bool processing_ = false;
   bool peer_eof_ = false;
@@ -662,13 +544,10 @@ void accept_pending(LoopShard* shard, const MakeConn& make_conn) {
 // Build one SO_REUSEPORT listener per shard on the shared port (the first
 // binds it, possibly ephemeral) and start each shard's loop thread with its
 // listener registered. Returns the bound port. `backlog` 0 = SOMAXCONN.
-// `io_backend` picks the event-loop backend (resolve_io_backend names); an
-// invalid or unsupported choice throws here, in the constructing thread.
 template <typename MakeConn>
 std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
                            std::size_t loop_threads, std::uint16_t port, MakeConn make_conn,
-                           int backlog = 0, std::string_view io_backend = {}) {
-  const std::string backend = resolve_io_backend(io_backend);
+                           int backlog = 0) {
   if (loop_threads == 0) {
     loop_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -676,7 +555,7 @@ std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
   shards.reserve(loop_threads);
   for (std::size_t i = 0; i < loop_threads; ++i) {
     auto shard = std::make_unique<LoopShard>();
-    shard->loop = make_event_loop(backend);
+    shard->loop = make_epoll_event_loop();
     shard->listener = std::make_unique<TcpListener>(bound, /*reuse_port=*/true, backlog);
     if (i == 0) bound = shard->listener->port();
     shard->listener->set_nonblocking();
@@ -685,27 +564,11 @@ std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
   for (auto& shard_ptr : shards) {
     LoopShard* shard = shard_ptr.get();
     // Registration happens on the loop thread itself (fd/timer state is
-    // loop-thread-only), before run() starts dispatching. A completion
-    // backend takes the multishot-accept path: the kernel hands over ready
-    // client fds with no readiness round-trip and no accept4 from us.
+    // loop-thread-only), before run() starts dispatching.
     shard->thread = std::thread([shard, make_conn] {
-      const int listen_fd = shard->listener->fd();
-      const bool completion =
-          shard->loop->submit_accept(listen_fd, [shard, make_conn](int client_fd) {
-            // SOCK_NONBLOCK|SOCK_CLOEXEC were applied by the accept op;
-            // TCP_NODELAY matches accept_nonblocking().
-            const int one = 1;
-            ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-            std::shared_ptr<Conn> conn = make_conn(shard, TcpStream(Fd(client_fd)));
-            if (conn == nullptr) return;
-            shard->conns[conn->fd()] = conn;
-            conn->start();
-          });
-      if (!completion) {
-        shard->loop->add_fd(listen_fd, EPOLLIN, [shard, make_conn](std::uint32_t) {
-          accept_pending(shard, make_conn);
-        });
-      }
+      shard->loop->add_fd(shard->listener->fd(), EPOLLIN, [shard, make_conn](std::uint32_t) {
+        accept_pending(shard, make_conn);
+      });
       shard->loop->run();
     });
   }
@@ -719,9 +582,7 @@ void stop_shards(std::vector<std::unique_ptr<LoopShard>>& shards) {
     LoopShard* shard = shard_ptr.get();
     shard->loop->post([shard] {
       if (shard->listener) {
-        const int listen_fd = shard->listener->fd();
-        shard->loop->del_fd(listen_fd);     // readiness accept path
-        shard->loop->cancel_fd(listen_fd);  // completion accept path (no-op on epoll)
+        shard->loop->del_fd(shard->listener->fd());
         shard->listener->close();
       }
       std::vector<std::shared_ptr<Conn>> conns;
@@ -802,7 +663,7 @@ void WorkerPool::worker() {
 // --- LiveOriginServer ----------------------------------------------------------------
 
 LiveOriginServer::LiveOriginServer(apps::OriginServer* origin, std::uint16_t port,
-                                   std::size_t loop_threads, std::string io_backend)
+                                   std::size_t loop_threads)
     : origin_(origin) {
   if (origin == nullptr) throw InvalidArgumentError("LiveOriginServer: null origin");
   requests_total_ = &registry_.counter("appx_origin_requests_total");
@@ -810,8 +671,7 @@ LiveOriginServer::LiveOriginServer(apps::OriginServer* origin, std::uint16_t por
   conns_gauge_ = &registry_.gauge("appx_origin_open_connections");
   port_ = start_shards(
       shards_, loop_threads, port,
-      [this](LoopShard* shard, TcpStream stream) { return make_conn(shard, std::move(stream)); },
-      /*backlog=*/0, io_backend);
+      [this](LoopShard* shard, TcpStream stream) { return make_conn(shard, std::move(stream)); });
 }
 
 LiveOriginServer::~LiveOriginServer() { stop(); }
@@ -920,7 +780,7 @@ LiveProxyServer::LiveProxyServer(core::ProxyLike* engine, UpstreamMap upstreams,
   port_ = start_shards(
       shards_, options_.loop_threads, port,
       [this](LoopShard* shard, TcpStream stream) { return make_conn(shard, std::move(stream)); },
-      options_.listen_backlog, options_.io_backend);
+      options_.listen_backlog);
   prefetchers_.reserve(options_.prefetch_workers);
   for (std::size_t i = 0; i < options_.prefetch_workers; ++i) {
     prefetchers_.emplace_back([this] { prefetch_worker(); });

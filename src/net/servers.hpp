@@ -15,19 +15,15 @@
 //
 // Network runtime (replacing the seed's thread-per-connection servers):
 //   * N event-loop threads (EngineOptions.loop_threads, default
-//     hardware_concurrency), each owning one event loop
-//     (EngineOptions.io_backend: epoll readiness or io_uring completion,
-//     DESIGN.md §5l) and one SO_REUSEPORT listener on the shared port — the
-//     kernel shards accepted connections across loops, no accept lock, no
-//     per-connection thread.
+//     hardware_concurrency), each owning one epoll event loop and one
+//     SO_REUSEPORT listener on the shared port — the kernel shards accepted
+//     connections across loops, no accept lock, no per-connection thread.
 //   * Each connection is a non-blocking Conn state machine pinned to its
 //     loop: reads feed an incremental HttpParser (one scratch buffer per
 //     connection, reused across keep-alive requests), responses drain
 //     through a pending-write queue flushed with writev (head + body leave
 //     in one syscall), and a timer-heap idle timeout reaps silent or
-//     slow-loris connections. On the uring backend the same state machine
-//     runs on completion ops (submit_recv/submit_sendmsg, multishot accept):
-//     a whole warm exchange rides one batched io_uring_enter.
+//     slow-loris connections.
 //   * Engine events and blocking upstream I/O never run on a loop thread:
 //     complete requests are handed to EngineOptions.request_workers threads
 //     that drive the session API (shard mutexes can block a worker, never a
@@ -111,11 +107,9 @@ class LiveOriginServer {
   // Binds 127.0.0.1:`port` (0 = ephemeral) and starts serving immediately on
   // `loop_threads` reactor threads (0 = hardware_concurrency). `origin` must
   // outlive the server; apps::OriginServer::serve is internally synchronized,
-  // so loops call it concurrently with no server-wide lock. `io_backend`
-  // picks the event-loop backend ("" = APPX_IO_BACKEND env, default epoll;
-  // see resolve_io_backend).
+  // so loops call it concurrently with no server-wide lock.
   LiveOriginServer(apps::OriginServer* origin, std::uint16_t port = 0,
-                   std::size_t loop_threads = 0, std::string io_backend = {});
+                   std::size_t loop_threads = 0);
   ~LiveOriginServer();
   LiveOriginServer(const LiveOriginServer&) = delete;
   LiveOriginServer& operator=(const LiveOriginServer&) = delete;

@@ -1,15 +1,15 @@
 // In-process syscall accounting for the serving data plane (DESIGN.md §5l).
 //
 // Every syscall the network runtime issues on its own behalf — reactor waits,
-// interest-set updates, socket reads/writes, accepts, loop wakeups,
-// io_uring_enter/register — passes through count() at the call site. The
-// counters are process-wide relaxed atomics: recording costs one uncontended
-// add, works identically under sanitizers and in CI containers where ptrace
-// is blocked, and is deterministic (a ptrace/strace self-fork also counts the
-// tracer's own noise and is forbidden in many sandboxes). Deliberately NOT
+// interest-set updates, socket reads/writes, accepts, loop wakeups — passes
+// through count() at the call site. The counters are process-wide relaxed
+// atomics: recording costs one uncontended add, works identically under
+// sanitizers and in CI containers where ptrace is blocked, and is
+// deterministic (a ptrace/strace self-fork also counts the tracer's own
+// noise and is forbidden in many sandboxes). Deliberately NOT
 // counted: blocking client/upstream sockets (TcpStream used by tests,
 // benches and the upstream pool — not the warm-hit serving path) and futex
-// traffic from mutex/condvar scheduling, which both backends pay equally.
+// traffic from mutex/condvar scheduling, which is not the reactor's cost.
 //
 // bench_syscalls drives the warm-hit path through a live proxy, diffs
 // snapshot() across a measured window, and gates syscalls/request against
@@ -29,8 +29,6 @@ enum class Op : unsigned {
   kWrite,      // sendmsg/writev on a served connection
   kAccept,     // accept4
   kWake,       // eventfd write from post()/stop()
-  kEnter,      // io_uring_enter
-  kRegister,   // io_uring_register (file-table updates)
   kOpCount
 };
 
@@ -49,10 +47,8 @@ struct Counters {
   std::uint64_t write = 0;
   std::uint64_t accept = 0;
   std::uint64_t wake = 0;
-  std::uint64_t enter = 0;
-  std::uint64_t reg = 0;
 
-  std::uint64_t total() const { return wait + ctl + read + write + accept + wake + enter + reg; }
+  std::uint64_t total() const { return wait + ctl + read + write + accept + wake; }
 
   Counters operator-(const Counters& other) const {
     Counters d;
@@ -62,8 +58,6 @@ struct Counters {
     d.write = write - other.write;
     d.accept = accept - other.accept;
     d.wake = wake - other.wake;
-    d.enter = enter - other.enter;
-    d.reg = reg - other.reg;
     return d;
   }
 };
@@ -79,8 +73,6 @@ inline Counters snapshot() {
   c.write = load(Op::kWrite);
   c.accept = load(Op::kAccept);
   c.wake = load(Op::kWake);
-  c.enter = load(Op::kEnter);
-  c.reg = load(Op::kRegister);
   return c;
 }
 

@@ -75,9 +75,7 @@ void UpstreamPool::update_idle_gauge_locked() {
   idle_gauge_->set(static_cast<std::int64_t>(total));
 }
 
-TcpStream UpstreamPool::connect_fresh(const std::string& host, std::uint16_t port,
-                                      const std::string& key) {
-  (void)key;
+TcpStream UpstreamPool::connect_fresh(const std::string& host, std::uint16_t port) {
   TcpStream stream = TcpStream::connect(host, port, options_.connect_timeout);
   connects_.fetch_add(1, std::memory_order_relaxed);
   if (connect_total_ != nullptr) connect_total_->inc();
@@ -121,7 +119,7 @@ UpstreamPool::Lease UpstreamPool::acquire(const std::string& host, std::uint16_t
   }
   // Connect outside the lock: a slow origin must not serialise other hosts'
   // acquires behind it.
-  TcpStream stream = connect_fresh(host, port, key);
+  TcpStream stream = connect_fresh(host, port);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_.load(std::memory_order_acquire)) {

@@ -117,7 +117,7 @@ class UpstreamPool {
   // True when the parked socket is still usable: open, no pending bytes.
   static bool healthy(const TcpStream& stream);
 
-  TcpStream connect_fresh(const std::string& host, std::uint16_t port, const std::string& key);
+  TcpStream connect_fresh(const std::string& host, std::uint16_t port);
   void update_idle_gauge_locked();
   // Drop `fd` from leased_fds_ (a Lease died without release()).
   void forget_lease(int fd);

@@ -1107,13 +1107,12 @@ TEST_F(LiveProxyTest, CacheMarkersDoNotAccumulateOnTheStoredResponse) {
   }
 }
 
-// --- EventLoop conformance suite (DESIGN.md §5g/§5l) ------------------------
+// --- EventLoop conformance suite (DESIGN.md §5g) ----------------------------
 //
-// Both backends must honor the same contract: level-triggered fd masks,
-// del_fd-from-own-callback safety, stale events for deleted handlers dropped,
-// timer lazy-cancel, cross-thread post with the stop-with-final-drain
-// guarantee. The suite runs once per backend; the uring instantiation skips
-// on kernels without io_uring support.
+// The reactor's contract: level-triggered fd masks, del_fd-from-own-callback
+// safety, stale events for deleted handlers dropped, timer lazy-cancel,
+// cross-thread post with the stop-with-final-drain guarantee. The suite is
+// instantiated once per backend name that resolve_io_backend accepts.
 
 // Polls `cond` until true or the deadline passes.
 bool wait_for_cond(const std::function<bool()>& cond,
@@ -1128,17 +1127,11 @@ bool wait_for_cond(const std::function<bool()>& cond,
 
 class EventLoopConformance : public ::testing::TestWithParam<const char*> {
  protected:
-  void SetUp() override {
-    if (GetParam() == std::string_view("uring") && !uring_supported()) {
-      GTEST_SKIP() << "kernel lacks io_uring support (or APPX_NO_URING=1)";
-    }
-    loop_ = make_event_loop(GetParam());
-    runner_ = std::thread([this] { loop_->run(); });
-  }
+  void SetUp() override { runner_ = std::thread([this] { loop_.run(); }); }
 
   void TearDown() override {
-    if (loop_ && runner_.joinable()) {
-      loop_->stop();
+    if (runner_.joinable()) {
+      loop_.stop();
       runner_.join();
     }
   }
@@ -1147,7 +1140,7 @@ class EventLoopConformance : public ::testing::TestWithParam<const char*> {
   // timer APIs are loop-thread-only).
   void on_loop(std::function<void()> fn) {
     std::promise<void> done;
-    loop_->post([&] {
+    loop_.post([&] {
       fn();
       done.set_value();
     });
@@ -1166,21 +1159,21 @@ class EventLoopConformance : public ::testing::TestWithParam<const char*> {
     int fds[2] = {-1, -1};
   };
 
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
   std::thread runner_;
 };
 
 TEST_P(EventLoopConformance, ReportsItsBackendName) {
-  EXPECT_EQ(loop_->backend_name(), std::string_view(GetParam()));
+  EXPECT_EQ(resolve_io_backend(GetParam()), GetParam());
 }
 
 TEST_P(EventLoopConformance, StopDrainsTasksQueuedWithIt) {
   // The header contract: tasks already queued when stop() is observed still
   // run. A close-all posted immediately before stop must execute.
   std::atomic<bool> final_task_ran{false};
-  loop_->post([&] {
-    loop_->post([&] { final_task_ran.store(true); });
-    loop_->stop();
+  loop_.post([&] {
+    loop_.post([&] { final_task_ran.store(true); });
+    loop_.stop();
   });
   runner_.join();
   EXPECT_TRUE(final_task_ran.load());
@@ -1193,9 +1186,9 @@ TEST_P(EventLoopConformance, DelFdFromOwnCallbackIsSafe) {
   Pair pair;
   std::atomic<int> fires{0};
   on_loop([&] {
-    loop_->add_fd(pair.fds[0], EPOLLIN, [&, fd = pair.fds[0]](std::uint32_t) {
+    loop_.add_fd(pair.fds[0], EPOLLIN, [&, fd = pair.fds[0]](std::uint32_t) {
       fires.fetch_add(1);
-      loop_->del_fd(fd);
+      loop_.del_fd(fd);
     });
   });
   pair.poke();
@@ -1203,7 +1196,7 @@ TEST_P(EventLoopConformance, DelFdFromOwnCallbackIsSafe) {
   pair.poke();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(fires.load(), 1);
-  EXPECT_EQ(loop_->fd_count(), 0u);
+  EXPECT_EQ(loop_.fd_count(), 0u);
   // Barrier: order the loop thread's del_fd before ~Pair closes the fd.
   on_loop([] {});
 }
@@ -1219,19 +1212,19 @@ TEST_P(EventLoopConformance, StaleEventForHandlerDeletedMidBatchIsDropped) {
     const auto kill_other = [&](int own, int other) {
       return [&, own, other](std::uint32_t) {
         fires.fetch_add(1);
-        loop_->del_fd(other);
-        loop_->del_fd(own);
+        loop_.del_fd(other);
+        loop_.del_fd(own);
       };
     };
-    loop_->add_fd(a.fds[0], EPOLLIN, kill_other(a.fds[0], b.fds[0]));
-    loop_->add_fd(b.fds[0], EPOLLIN, kill_other(b.fds[0], a.fds[0]));
+    loop_.add_fd(a.fds[0], EPOLLIN, kill_other(a.fds[0], b.fds[0]));
+    loop_.add_fd(b.fds[0], EPOLLIN, kill_other(b.fds[0], a.fds[0]));
   });
   a.poke();
   b.poke();
   ASSERT_TRUE(wait_for_cond([&] { return fires.load() >= 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(fires.load(), 1);
-  EXPECT_EQ(loop_->fd_count(), 0u);
+  EXPECT_EQ(loop_.fd_count(), 0u);
   // Barrier: order the loop thread's del_fds before the Pairs close the fds.
   on_loop([] {});
 }
@@ -1243,20 +1236,20 @@ TEST_P(EventLoopConformance, ModFdTogglesInterest) {
   Pair pair;
   std::atomic<int> fires{0};
   on_loop([&] {
-    loop_->add_fd(pair.fds[0], EPOLLIN, [&, fd = pair.fds[0]](std::uint32_t events) {
+    loop_.add_fd(pair.fds[0], EPOLLIN, [&, fd = pair.fds[0]](std::uint32_t events) {
       if ((events & EPOLLOUT) != 0) {
         fires.fetch_add(1);
-        loop_->mod_fd(fd, EPOLLIN);
+        loop_.mod_fd(fd, EPOLLIN);
       }
     });
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(fires.load(), 0);
-  on_loop([&] { loop_->mod_fd(pair.fds[0], EPOLLOUT); });
+  on_loop([&] { loop_.mod_fd(pair.fds[0], EPOLLOUT); });
   ASSERT_TRUE(wait_for_cond([&] { return fires.load() >= 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(fires.load(), 1);
-  on_loop([&] { loop_->del_fd(pair.fds[0]); });
+  on_loop([&] { loop_.del_fd(pair.fds[0]); });
 }
 
 TEST_P(EventLoopConformance, CancelledTimerNeverFires) {
@@ -1265,9 +1258,9 @@ TEST_P(EventLoopConformance, CancelledTimerNeverFires) {
   on_loop([&] {
     const auto now = std::chrono::steady_clock::now();
     const std::uint64_t id =
-        loop_->add_timer(now + std::chrono::milliseconds(20), [&] { cancelled_ran.store(true); });
-    loop_->add_timer(now + std::chrono::milliseconds(60), [&] { kept_ran.store(true); });
-    loop_->cancel_timer(id);  // lazy: the heap entry stays, the task must not run
+        loop_.add_timer(now + std::chrono::milliseconds(20), [&] { cancelled_ran.store(true); });
+    loop_.add_timer(now + std::chrono::milliseconds(60), [&] { kept_ran.store(true); });
+    loop_.cancel_timer(id);  // lazy: the heap entry stays, the task must not run
   });
   ASSERT_TRUE(wait_for_cond([&] { return kept_ran.load(); }));
   EXPECT_FALSE(cancelled_ran.load());
@@ -1283,175 +1276,25 @@ TEST_P(EventLoopConformance, PostFromManyThreadsRunsEveryTask) {
   posters.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     posters.emplace_back([&] {
-      for (int i = 0; i < kPostsPerThread; ++i) loop_->post([&] { ran.fetch_add(1); });
+      for (int i = 0; i < kPostsPerThread; ++i) loop_.post([&] { ran.fetch_add(1); });
     });
   }
   for (std::thread& t : posters) t.join();
   ASSERT_TRUE(wait_for_cond([&] { return ran.load() == kThreads * kPostsPerThread; }));
-  EXPECT_EQ(loop_->pending_tasks(), 0u);
+  EXPECT_EQ(loop_.pending_tasks(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopConformance, ::testing::Values("epoll", "uring"));
+INSTANTIATE_TEST_SUITE_P(Backends, EventLoopConformance, ::testing::Values("epoll"));
 
 TEST(IoBackendResolve, RejectsUnknownNames) {
-  EXPECT_THROW(resolve_io_backend("iocp"), InvalidArgumentError);
-}
-
-TEST(IoBackendResolve, AutoPicksUringExactlyWhenSupported) {
-  EXPECT_EQ(resolve_io_backend("auto"), uring_supported() ? "uring" : "epoll");
-}
-
-TEST(IoBackendResolve, ExplicitUringNeverSilentlyDegrades) {
-  if (uring_supported()) GTEST_SKIP() << "kernel supports io_uring; nothing to refuse";
-  EXPECT_THROW(make_event_loop("uring"), Error);
-}
-
-// --- uring completion-op extension (DESIGN.md §5l) --------------------------
-
-class UringCompletionOps : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!uring_supported()) GTEST_SKIP() << "kernel lacks io_uring support";
-    loop_ = make_uring_event_loop();
-    ASSERT_TRUE(loop_->supports_completions());
-    runner_ = std::thread([this] { loop_->run(); });
-  }
-  void TearDown() override {
-    if (loop_ && runner_.joinable()) {
-      loop_->stop();
-      runner_.join();
-    }
-  }
-  void on_loop(std::function<void()> fn) {
-    std::promise<void> done;
-    loop_->post([&] {
-      fn();
-      done.set_value();
-    });
-    done.get_future().wait();
-  }
-  std::unique_ptr<EventLoop> loop_;
-  std::thread runner_;
-};
-
-TEST_F(UringCompletionOps, RecvSendmsgRoundTripOnCallerOwnedBuffers) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-
-  // recv completes with the bytes the peer wrote into the caller's buffer.
-  char buf[16] = {};
-  std::promise<int> recv_res;
-  on_loop([&] {
-    ASSERT_TRUE(loop_->submit_recv(sv[0], buf, sizeof buf,
-                                   [&](int res) { recv_res.set_value(res); }));
-  });
-  ASSERT_EQ(::write(sv[1], "ping", 4), 4);
-  ASSERT_EQ(recv_res.get_future().get(), 4);
-  EXPECT_EQ(std::string_view(buf, 4), "ping");
-
-  // sendmsg of a caller-owned iovec lands on the peer.
-  const char reply[] = "pong!";
-  struct iovec iov { const_cast<char*>(reply), 5 };
-  struct msghdr msg {};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  std::promise<int> send_res;
-  on_loop([&] {
-    ASSERT_TRUE(loop_->submit_sendmsg(sv[0], &msg, [&](int res) { send_res.set_value(res); }));
-  });
-  ASSERT_EQ(send_res.get_future().get(), 5);
-  char peer[16] = {};
-  ASSERT_EQ(::read(sv[1], peer, sizeof peer), 5);
-  EXPECT_EQ(std::string_view(peer, 5), "pong!");
-
-  // cancel_fd drops a parked recv without invoking its callback.
-  std::atomic<bool> cancelled_cb_ran{false};
-  on_loop([&] {
-    ASSERT_TRUE(
-        loop_->submit_recv(sv[0], buf, sizeof buf, [&](int) { cancelled_cb_ran.store(true); }));
-  });
-  on_loop([&] { loop_->cancel_fd(sv[0]); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(cancelled_cb_ran.load());
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-TEST_F(UringCompletionOps, CancelStormDropsEveryPendingCallback) {
-  // Regression: cancel_fd used to range-iterate the op table while inserting
-  // cancel ops into it — enough simultaneous closes rehash the map mid-walk.
-  // Queue enough in-flight ops that the burst of cancel insertions forces a
-  // rehash, then cancel everything in one task drain.
-  constexpr int kPairs = 48;
-  int sv[kPairs][2];
-  for (auto& p : sv) ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, p), 0);
-  static char buf[64];
-  std::atomic<int> cb_ran{0};
-  on_loop([&] {
-    for (auto& p : sv) {
-      for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(
-            loop_->submit_recv(p[0], buf, sizeof buf, [&](int) { cb_ran.fetch_add(1); }));
-      }
-    }
-  });
-  on_loop([&] {
-    for (auto& p : sv) loop_->cancel_fd(p[0]);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(cb_ran.load(), 0);
-  for (auto& p : sv) {
-    ::close(p[0]);
-    ::close(p[1]);
+  for (const char* name : {"iocp", "uring", "auto"}) {
+    EXPECT_THROW(resolve_io_backend(name), InvalidArgumentError) << name;
   }
 }
 
-TEST_F(UringCompletionOps, ReAddingAnFdReplacesTheHandlerWithoutDoubleCounting) {
-  // Regression: add_fd on an already-registered fd used to orphan the old
-  // poll op (one stale callback delivery) and double-increment fd_count.
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::atomic<int> old_hits{0};
-  std::atomic<int> new_hits{0};
-  on_loop([&] {
-    loop_->add_fd(sv[0], EPOLLIN, [&](std::uint32_t) { old_hits.fetch_add(1); });
-    loop_->add_fd(sv[0], EPOLLIN, [&](std::uint32_t) {
-      char drain[8];
-      ::read(sv[0], drain, sizeof drain);  // drain the single byte (blocking fd)
-      new_hits.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(loop_->fd_count(), 1u);
-  ASSERT_EQ(::write(sv[1], "x", 1), 1);
-  ASSERT_TRUE(wait_for_cond([&] { return new_hits.load() >= 1; }));
-  EXPECT_EQ(old_hits.load(), 0);
-  on_loop([&] { loop_->del_fd(sv[0]); });
-  EXPECT_EQ(loop_->fd_count(), 0u);
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-TEST_F(UringCompletionOps, MultishotAcceptDeliversEveryConnection) {
-  TcpListener listener(0);
-  std::atomic<int> accepted{0};
-  std::vector<int> fds;
-  std::mutex fds_mutex;
-  on_loop([&] {
-    ASSERT_TRUE(loop_->submit_accept(listener.fd(), [&](int fd) {
-      if (fd < 0) return;
-      const std::lock_guard<std::mutex> lock(fds_mutex);
-      fds.push_back(fd);
-      accepted.fetch_add(1);
-    }));
-  });
-  std::vector<TcpStream> clients;
-  for (int i = 0; i < 5; ++i) {
-    clients.push_back(TcpStream::connect("127.0.0.1", listener.port()));
-  }
-  ASSERT_TRUE(wait_for_cond([&] { return accepted.load() == 5; }));
-  on_loop([&] { loop_->cancel_fd(listener.fd()); });
-  const std::lock_guard<std::mutex> lock(fds_mutex);
-  for (const int fd : fds) ::close(fd);
+TEST(IoBackendResolve, EmptyAndEpollNameTheOnlyBackend) {
+  EXPECT_EQ(resolve_io_backend(""), "epoll");
+  EXPECT_EQ(resolve_io_backend("epoll"), "epoll");
 }
 
 }  // namespace

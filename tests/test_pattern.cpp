@@ -392,6 +392,10 @@ struct RoundTripCase {
   const char* value;
 };
 
+// Names each case by its (unique) spec. Without this, gtest prints the two
+// pointers' bytes, and the test names would change with every load address.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << '"' << c.spec << '"'; }
+
 class TemplateRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(TemplateRoundTrip, ExtractThenFillIsIdentity) {

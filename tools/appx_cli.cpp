@@ -24,8 +24,6 @@
 //                                          snapshot (binary) to a file
 //   appx stats <host:port> [--json]        scrape a live proxy's /appx/metrics
 //                                          and pretty-print it
-//   appx uring-check                       probe io_uring event-loop support
-//                                          (exit 0 yes, 3 no; used by CI)
 //
 // <app> is one of: wish geek doordash purpleocean postmates.
 #include <chrono>
@@ -44,7 +42,6 @@
 #include "eval/verification.hpp"
 #include "ir/disasm.hpp"
 #include "json/json.hpp"
-#include "net/event_loop.hpp"
 #include "net/http_io.hpp"
 #include "net/servers.hpp"
 #include "net/socket.hpp"
@@ -69,7 +66,6 @@ int usage() {
                "[--snapshot-ms N] [--shards N]\n"
                "  appx snapshot <host:port> [--out <file>]\n"
                "  appx stats <host:port> [--json]\n"
-               "  appx uring-check\n"
                "apps: wish geek doordash purpleocean postmates\n";
   return 2;
 }
@@ -428,20 +424,6 @@ int cmd_stats(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Reports whether this kernel can run the io_uring event-loop backend
-// (DESIGN.md §5l). Exit 0 when supported, 3 when not — CI uses this to skip
-// the uring job variant on old kernels instead of failing it.
-int cmd_uring_check(const std::vector<std::string>& args) {
-  if (!args.empty()) return usage();
-  if (net::uring_supported()) {
-    std::cout << "io_uring backend: supported\n";
-    return 0;
-  }
-  std::cout << "io_uring backend: unsupported on this kernel "
-               "(or disabled via APPX_NO_URING)\n";
-  return 3;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -458,7 +440,6 @@ int main(int argc, char** argv) {
     if (command == "node") return cmd_node(args);
     if (command == "snapshot") return cmd_snapshot(args);
     if (command == "stats") return cmd_stats(args);
-    if (command == "uring-check") return cmd_uring_check(args);
   } catch (const appx::Error& e) {
     std::cerr << "appx: " << e.what() << "\n";
     return 1;
