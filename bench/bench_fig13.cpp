@@ -67,12 +67,14 @@ int run_policy_comparison() {
   double bytes_on = 0;
   std::vector<double> p99_ratios;
   for (const eval::AnalyzedApp& app : eval::analyze_all_apps()) {
+    // "policy-off" is the library default: the policy admits every
+    // candidate, as the paper's proxy does.
     eval::TestbedConfig off;
     off.prefetch_enabled = true;
     off.proxy_config = eval::deployment_config(app);
 
     eval::TestbedConfig on = off;
-    on.proxy_config.policy.enabled = true;
+    on.proxy_config.policy.learn_expiry = true;
     // Explicit bench tuning rather than the library default: the simulated
     // apps' fan-out signatures are worth ~p_use * saving/KB; this floor keeps
     // the sometimes-used ones while cutting the never-used tail.

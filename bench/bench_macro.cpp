@@ -458,7 +458,7 @@ class UserConn : public std::enable_shared_from_this<UserConn> {
     // admission: under overload the engine sheds the worst jobs *before*
     // enqueue, so dropped-after-enqueue stays ~0 (gated below in --smoke).
     engine_options.max_queued_prefetches = 64;
-    engine_options.policy.enabled = true;
+    engine_options.policy.learn_expiry = true;
     // Localhost tuning: origin savings are ~2 ms (not the 100s of ms of a
     // real WAN), so the absolute ms-per-KB floor sits ~1000x below the fig13
     // deployment value — it only prunes repeatedly-unused large responses —

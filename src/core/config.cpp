@@ -130,6 +130,14 @@ std::vector<std::string> ProxyConfig::all_added_header_names() const {
   return names;
 }
 
+util::Error ProxyConfig::validate_data_budget() const {
+  if (data_budget && *data_budget <= 0) {
+    return util::Error::failure(
+        "ProxyConfig.data_budget must be positive (leave it unset / null for unlimited)");
+  }
+  return util::Error();
+}
+
 std::string ProxyConfig::to_json() const {
   json::Object root;
   json::Object global;
@@ -155,16 +163,9 @@ std::string ProxyConfig::to_json() const {
   }
   {
     json::Object pol;
-    pol["enabled"] = policy.enabled;
     pol["min_value"] = policy.min_value;
-    pol["max_threshold"] = policy.max_threshold;
-    pol["threshold_growth"] = policy.threshold_growth;
-    pol["threshold_decay"] = policy.threshold_decay;
     pol["target_queue_depth"] = policy.target_queue_depth;
-    pol["budget_window_ms"] = to_ms(policy.budget_window);
-    pol["hit_byte_refund"] = policy.hit_byte_refund;
     pol["learn_expiry"] = policy.learn_expiry;
-    pol["min_learned_expiry_ms"] = to_ms(policy.min_learned_expiry);
     global["policy"] = std::move(pol);
   }
   root["global"] = std::move(global);
@@ -249,31 +250,23 @@ ProxyConfig ProxyConfig::from_json(std::string_view text) {
     }
     if (const json::Value* pol = global->find("policy")) {
       policy::PolicyOptions& p = config.policy;
-      if (const json::Value* v = pol->find("enabled")) p.enabled = v->as_bool();
+      // Older files carry an on/off switch. "enabled": false sat next to
+      // tuned values (min_value 0.05, learn_expiry true) that the policy,
+      // which now always runs, would silently apply.
+      if (const json::Value* v = pol->find("enabled"); v != nullptr && !v->as_bool()) {
+        throw InvalidArgumentError(
+            "global.policy: \"enabled\": false is no longer supported, the policy always "
+            "runs; delete the global.policy block to get admit-everything prefetching");
+      }
       if (const json::Value* v = pol->find("min_value")) p.min_value = v->as_double();
-      if (const json::Value* v = pol->find("max_threshold")) p.max_threshold = v->as_double();
-      if (const json::Value* v = pol->find("threshold_growth")) {
-        p.threshold_growth = v->as_double();
-      }
-      if (const json::Value* v = pol->find("threshold_decay")) {
-        p.threshold_decay = v->as_double();
-      }
       if (const json::Value* v = pol->find("target_queue_depth")) {
         p.target_queue_depth = v->as_int();
       }
-      if (const json::Value* v = pol->find("budget_window_ms")) {
-        p.budget_window = milliseconds(v->as_double());
-      }
-      if (const json::Value* v = pol->find("hit_byte_refund")) {
-        p.hit_byte_refund = v->as_double();
-      }
       if (const json::Value* v = pol->find("learn_expiry")) p.learn_expiry = v->as_bool();
-      if (const json::Value* v = pol->find("min_learned_expiry_ms")) {
-        p.min_learned_expiry = milliseconds(v->as_double());
-      }
       p.validate().throw_if_error();
     }
   }
+  config.validate_data_budget().throw_if_error();
   if (const json::Value* sigs = root.find("signatures")) {
     for (const json::Value& entry : sigs->as_array()) {
       SignaturePolicy p;

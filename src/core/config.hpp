@@ -52,7 +52,8 @@ class ProxyConfig {
   // Global knobs.
   double global_probability = 1.0;
   std::optional<Duration> default_expiration = seconds(60);
-  // Prefetch data budget per user session; nullopt = unlimited (C4).
+  // Prefetch data budget per user, paced by the policy's token bucket;
+  // nullopt = unlimited (C4). A set budget must be positive.
   std::optional<Bytes> data_budget;
   // Max outstanding prefetches per user.
   std::size_t max_outstanding_prefetches = 32;
@@ -81,6 +82,10 @@ class ProxyConfig {
   // Cost-aware prefetch policy (serialized under `global.policy`): value-
   // based admission, token-bucket pacing of data_budget, learned expiry.
   policy::PolicyOptions policy;
+
+  // Fails on a set data_budget <= 0: unlimited is spelled unset (JSON null),
+  // so a budget of 0 can never silently mean "no limit".
+  util::Error validate_data_budget() const;
 
   // The app hint for a request ("" when its host is not mapped).
   std::string app_for_host(const std::string& host) const;

@@ -56,8 +56,9 @@ struct EngineOptions {
   double scheduler_time_weight = 1.0;
   double scheduler_hit_weight = 200.0;
   // Cost-aware prefetch policy (value-based admission, budget pacing, learned
-  // expiry — DESIGN.md §5j). Off by default; ProxyConfig carries the same
-  // block in its serialized `global.policy` object.
+  // expiry — DESIGN.md §5j), the engine's only admission path; the defaults
+  // admit every candidate. ProxyConfig carries the same block in its
+  // serialized `global.policy` object.
   policy::PolicyOptions policy;
 
   // --- live transport (LiveProxyServer); 0 disables a timeout ---------------

@@ -32,6 +32,7 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
       registry_(registry != nullptr ? registry : &own_registry_) {
   if (signatures == nullptr) throw InvalidArgumentError("ProxyEngine: null signature set");
   if (config == nullptr) throw InvalidArgumentError("ProxyEngine: null config");
+  config->validate_data_budget().throw_if_error();
   options_.validate().throw_if_error();
   ignored_headers_ = config->all_added_header_names();
 
@@ -49,7 +50,6 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
   inst_.skipped_disabled = skipped("disabled");
   inst_.skipped_probability = skipped("probability");
   inst_.skipped_condition = skipped("condition");
-  inst_.skipped_budget = skipped("budget");
   inst_.skipped_duplicate = skipped("duplicate");
   inst_.skipped_refetch = skipped("refetch");
   inst_.skipped_queue_full = skipped("queue_full");
@@ -125,16 +125,12 @@ UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
   s.state->cache.set_usage_hooks(PrefetchCache::UsageHooks{
       [this, state_ptr](std::string_view sig_id, Bytes bytes) {
         state_ptr->pacer.refund_hit(bytes);
-        if (options_.policy.enabled && !sig_id.empty()) {
-          sig_model_->on_first_use(app_of(sig_id), sig_id);
-        }
+        if (!sig_id.empty()) sig_model_->on_first_use(app_of(sig_id), sig_id);
       },
       [this](std::string_view sig_id, Bytes bytes) {
         inst_.wasted_entries->inc();
         inst_.wasted_bytes->add(bytes);
-        if (options_.policy.enabled && !sig_id.empty()) {
-          sig_model_->on_wasted(app_of(sig_id), sig_id, bytes);
-        }
+        if (!sig_id.empty()) sig_model_->on_wasted(app_of(sig_id), sig_id, bytes);
       }});
   s.state->scheduler.bind_metrics(
       PrefetchScheduler::Metrics{inst_.prefetch_queued, inst_.prefetch_outstanding});
@@ -266,7 +262,6 @@ void ProxyEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
   state.inflight.erase(job.cache_key);
   inst_.bytes_prefetched->add(response.wire_size());
   inst_.prefetch_response_time_us->record(static_cast<std::int64_t>(response_time_ms * 1000.0));
-  state.prefetch_bytes_used += response.wire_size();
   // Actual wire bytes are charged in full; the entry's first cache hit will
   // refund part of them (see the cache usage hooks).
   state.pacer.charge(response.wire_size(), now);
@@ -291,18 +286,16 @@ void ProxyEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
   entry.sig_id = job.sig_id;
   entry.fetched_at = now;
   auto expiry = config_->expiration(job.sig_id);
-  if (options_.policy.enabled) {
-    const std::string_view app = app_of(job.sig_id);
-    sig_model_->on_prefetched(app, job.sig_id, response.wire_size(), response_time_ms);
-    if (options_.policy.learn_expiry) {
-      // One content sample per cached prefetch: a same-key re-fetch whose
-      // body changed refines this signature's TTL online (§4.3's probing,
-      // continued at run time).
-      sig_model_->observe_content(app, job.sig_id, fnv1a(job.cache_key), body_hash, now);
-      if (const auto learned =
-              sig_model_->learned_expiry(app, job.sig_id, options_.policy.min_learned_expiry)) {
-        expiry = expiry ? std::min(*expiry, *learned) : *learned;
-      }
+  const std::string_view app = app_of(job.sig_id);
+  sig_model_->on_prefetched(app, job.sig_id, response.wire_size(), response_time_ms);
+  if (options_.policy.learn_expiry) {
+    // One content sample per cached prefetch: a same-key re-fetch whose body
+    // changed refines this signature's TTL online (§4.3's probing, continued
+    // at run time).
+    sig_model_->observe_content(app, job.sig_id, fnv1a(job.cache_key), body_hash, now);
+    if (const auto learned =
+            sig_model_->learned_expiry(app, job.sig_id, policy::kMinLearnedExpiry)) {
+      expiry = expiry ? std::min(*expiry, *learned) : *learned;
     }
   }
   if (expiry) entry.expires_at = now + *expiry;
@@ -327,8 +320,7 @@ void ProxyEngine::pump(UserId& user, SimTime now, Decision* out) {
 
 void ProxyEngine::admit_prefetches(UserState& state, std::vector<ReadyPrefetch> ready,
                                    SimTime now) {
-  const bool policy_on = options_.policy.enabled;
-  if (policy_on && !ready.empty()) {
+  if (!ready.empty()) {
     // One load-feedback tick per admission batch: the adaptive threshold
     // reads fleet-wide queue pressure (queued + outstanding) and the
     // dropped-after-enqueue counter, so overload raises the admission bar
@@ -356,23 +348,16 @@ void ProxyEngine::admit_prefetches(UserState& state, std::vector<ReadyPrefetch> 
         continue;
       }
     }
-    if (policy_on) {
-      // Value-based admission + budget pacing (DESIGN.md §5j): issue only
-      // when the expected saving per byte clears the adaptive threshold and
-      // the token bucket has room for the expected size.
-      const policy::Estimate estimate = sig_model_->estimate(rp.signature->app, sig_id);
-      if (!admission_.admit(estimate)) {
-        inst_.policy_rejected_value->inc();
-        continue;
-      }
-      if (!state.pacer.allows(static_cast<Bytes>(estimate.bytes), now)) {
-        inst_.policy_rejected_budget->inc();
-        continue;
-      }
-    } else if (config_->data_budget && state.prefetch_bytes_used >= *config_->data_budget) {
-      // Legacy hard cliff: all prefetching stops for the rest of the session
-      // once the budget is spent.
-      inst_.skipped_budget->inc();
+    // Value-based admission + budget pacing (DESIGN.md §5j): issue only when
+    // the expected saving per byte clears the adaptive threshold and the
+    // token bucket has room for the expected size.
+    const policy::Estimate estimate = sig_model_->estimate(rp.signature->app, sig_id);
+    if (!admission_.admit(estimate)) {
+      inst_.policy_rejected_value->inc();
+      continue;
+    }
+    if (!state.pacer.allows(static_cast<Bytes>(estimate.bytes), now)) {
+      inst_.policy_rejected_budget->inc();
       continue;
     }
 
@@ -409,12 +394,10 @@ void ProxyEngine::admit_prefetches(UserState& state, std::vector<ReadyPrefetch> 
       job.request.headers.add(name, value);
     }
     job.enqueued_at = now;
-    if (policy_on) {
-      inst_.policy_admitted->inc();
-      // Issue-time feedback: the batch's own admissions lower p_use for
-      // signatures with no proven uses, so one fan-out burst self-limits.
-      sig_model_->on_issued(rp.signature->app, sig_id);
-    }
+    inst_.policy_admitted->inc();
+    // Issue-time feedback: the batch's own admissions lower p_use for
+    // signatures with no proven uses, so one fan-out burst self-limits.
+    sig_model_->on_issued(rp.signature->app, sig_id);
     if (auto evicted = state.scheduler.enqueue(std::move(job), sig_stats_)) {
       // The bounded queue shed its lowest-priority job before issue: release
       // its bookkeeping. Not a drop — it never counted as issued.
@@ -441,7 +424,6 @@ const ProxyStats& ProxyEngine::stats() const {
   s.skipped_disabled = count(inst_.skipped_disabled);
   s.skipped_probability = count(inst_.skipped_probability);
   s.skipped_condition = count(inst_.skipped_condition);
-  s.skipped_budget = count(inst_.skipped_budget);
   s.skipped_duplicate = count(inst_.skipped_duplicate);
   s.skipped_refetch = count(inst_.skipped_refetch);
   s.skipped_queue_full = count(inst_.skipped_queue_full);
@@ -474,7 +456,8 @@ void ProxyEngine::persist_user_entry(const std::string& name, const UserState& s
                                      ByteWriter& out) const {
   out.str(name);
   ByteWriter payload;
-  payload.u64(state.prefetch_bytes_used);
+  // Was the legacy budget cliff's spend; kept as 0 so "users" stays v1.
+  payload.u64(0);
   // Each learning facet is framed with its own version + length so a future
   // facet revision can evolve without bumping the "users" section framing.
   ByteWriter wildcards;
@@ -502,7 +485,7 @@ void ProxyEngine::restore_user_entry(std::string_view name, ByteReader& entry,
   (void)version;  // "users" v1 is the only framing so far
   UserId id = resolve_user(name, now);
   UserState& state = *slots_[id.slot()].state;
-  state.prefetch_bytes_used = entry.u64();
+  (void)entry.u64();  // the legacy budget cliff's spend ("users" v1 framing)
   const std::uint32_t wildcards_version = entry.u32();
   const std::uint64_t wildcards_len = entry.u64();
   const std::uint8_t* wildcards_data = entry.cursor();

@@ -78,7 +78,7 @@ class ProxyEngine final : public ProxyLike {
   // --- durable learned state (DESIGN.md §5k) --------------------------------
   //
   // Sections this engine writes: "users" (per-user learned state: resolved
-  // wildcards, dependency-flow instances, budget spend), "policy.model" (only
+  // wildcards, dependency-flow instances), "policy.model" (only
   // when the engine owns its value model — with a shared model the owner
   // snapshots it once) and "scheduler.sig_stats/<shard>" (per-shard advisory
   // priority stats). Cache bodies and scheduler queues are deliberately NOT
@@ -131,9 +131,7 @@ class ProxyEngine final : public ProxyLike {
     UserState(const SignatureSet* signatures, const ProxyConfig& config,
               const EngineOptions& options, obs::Gauge* learning_instances)
         : learning(signatures, &config.host_apps, learning_instances),
-          pacer(policy::BudgetPacer::Options{
-              options.policy.enabled ? config.data_budget.value_or(0) : 0,
-              options.policy.budget_window, options.policy.hit_byte_refund}),
+          pacer(policy::BudgetPacer::Options{config.data_budget.value_or(0)}),
           cache(PrefetchCache::Limits{options.cache_max_entries, options.cache_max_bytes}),
           scheduler(PrefetchScheduler::Weights{options.scheduler_time_weight,
                                                options.scheduler_hit_weight},
@@ -145,8 +143,7 @@ class ProxyEngine final : public ProxyLike {
     policy::BudgetPacer pacer;
     PrefetchCache cache;
     PrefetchScheduler scheduler;
-    SimTime last_active = 0;        // for idle-user eviction
-    Bytes prefetch_bytes_used = 0;  // against config.data_budget
+    SimTime last_active = 0;  // for idle-user eviction
     std::set<std::string> inflight;  // cache keys with an outstanding prefetch
     // Cache keys of client requests currently being forwarded: prefetching
     // these would duplicate bytes already on their way to the proxy.
@@ -194,7 +191,6 @@ class ProxyEngine final : public ProxyLike {
     obs::Counter* skipped_disabled = nullptr;
     obs::Counter* skipped_probability = nullptr;
     obs::Counter* skipped_condition = nullptr;
-    obs::Counter* skipped_budget = nullptr;
     obs::Counter* skipped_duplicate = nullptr;
     obs::Counter* skipped_refetch = nullptr;
     obs::Counter* skipped_queue_full = nullptr;

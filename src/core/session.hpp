@@ -48,7 +48,6 @@ struct ProxyStats {
   std::size_t skipped_disabled = 0;
   std::size_t skipped_probability = 0;
   std::size_t skipped_condition = 0;
-  std::size_t skipped_budget = 0;
   std::size_t skipped_duplicate = 0;  // already cached and fresh
   std::size_t skipped_refetch = 0;    // already prefetched this client generation
   std::size_t skipped_queue_full = 0;  // evicted from a bounded scheduler queue pre-issue

@@ -57,7 +57,7 @@ struct Breakdown {
   Bytes prefetch_bytes = 0;
   Bytes wasted_bytes = 0;
   double waste_ratio = 0;  // wasted_bytes / prefetch_bytes, 0 when nothing fetched
-  // Admission decisions of the cost-aware policy (zero when disabled).
+  // Admission decisions of the cost-aware policy.
   std::size_t policy_admitted = 0;
   std::size_t policy_rejected_value = 0;
   std::size_t policy_rejected_budget = 0;

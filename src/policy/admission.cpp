@@ -13,9 +13,9 @@ void AdmissionController::observe_load(std::int64_t queue_depth, std::int64_t dr
   const bool overloaded = queue_depth > options_.target_queue_depth || drops_total > last_drops_;
   last_drops_ = drops_total;
   if (overloaded) {
-    threshold_ = std::min(options_.max_threshold, threshold_ * options_.threshold_growth);
+    threshold_ = std::min(kMaxThreshold, threshold_ * kThresholdGrowth);
   } else {
-    threshold_ = std::max(options_.min_value, threshold_ * options_.threshold_decay);
+    threshold_ = std::max(options_.min_value, threshold_ * kThresholdDecay);
   }
 }
 

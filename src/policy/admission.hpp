@@ -6,11 +6,12 @@
 //
 // clears the current threshold. The threshold floors at min_value; load
 // feedback (queue depth above target, or jobs dropped after enqueue since the
-// last observation) grows it multiplicatively up to max_threshold, and calm
-// periods decay it back. Under overload the proxy therefore sheds the
-// *lowest-value* prefetches at admission time instead of drop-oldest
-// thrashing after enqueue — PR 7's macro harness measured millions of
-// enqueued-then-dropped jobs at saturation; this is the fix.
+// last observation) grows it multiplicatively up to kMaxThreshold, and calm
+// periods decay it back. Growth is multiplicative, so a floor of 0 keeps the
+// threshold at 0 and every candidate is admitted. Under overload the proxy
+// therefore sheds the *lowest-value* prefetches at admission time instead of
+// drop-oldest thrashing after enqueue — the macro harness measured
+// millions of enqueued-then-dropped jobs at saturation; this is the fix.
 //
 // Not thread-safe; owned per engine shard.
 #pragma once

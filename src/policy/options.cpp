@@ -5,30 +5,11 @@
 namespace appx::policy {
 
 util::Error PolicyOptions::validate() const {
-  if (!std::isfinite(min_value) || min_value <= 0) {
-    return util::Error::failure("PolicyOptions.min_value must be finite and > 0");
-  }
-  if (!std::isfinite(max_threshold) || max_threshold < min_value) {
-    return util::Error::failure("PolicyOptions.max_threshold must be finite and >= min_value");
-  }
-  if (!std::isfinite(threshold_growth) || threshold_growth < 1.0) {
-    return util::Error::failure(
-        "PolicyOptions.threshold_growth must be >= 1 (1 disables the overload response)");
-  }
-  if (!std::isfinite(threshold_decay) || threshold_decay <= 0 || threshold_decay > 1.0) {
-    return util::Error::failure("PolicyOptions.threshold_decay must be in (0, 1]");
+  if (!std::isfinite(min_value) || min_value < 0 || min_value > kMaxThreshold) {
+    return util::Error::failure("PolicyOptions.min_value must be in [0, kMaxThreshold]");
   }
   if (target_queue_depth < 1) {
     return util::Error::failure("PolicyOptions.target_queue_depth must be >= 1");
-  }
-  if (budget_window <= 0) {
-    return util::Error::failure("PolicyOptions.budget_window must be positive");
-  }
-  if (!std::isfinite(hit_byte_refund) || hit_byte_refund < 0 || hit_byte_refund > 1.0) {
-    return util::Error::failure("PolicyOptions.hit_byte_refund must be in [0, 1]");
-  }
-  if (min_learned_expiry <= 0) {
-    return util::Error::failure("PolicyOptions.min_learned_expiry must be positive");
   }
   return util::Error();
 }

@@ -1,10 +1,9 @@
 // Token-bucket data-budget pacing (DESIGN.md §5j).
 //
-// Replaces the hard data_budget cliff (all prefetching stops for the rest of
-// the session once cumulative bytes cross the budget) with a bucket of
-// `budget` tokens refilled continuously over `window`: a burst may spend the
-// whole budget at once, but sustained prefetching is paced to budget bytes
-// per window for the entire session.
+// ProxyConfig.data_budget as a bucket of `budget` tokens refilled
+// continuously over `window`: a burst may spend the whole budget at once, but
+// sustained prefetching is paced to budget bytes per window for the entire
+// session.
 //
 // Charging is asymmetric by outcome: every prefetched byte is charged in
 // full when the response arrives (tokens may go negative — the actual size
@@ -13,12 +12,15 @@
 // rate while useful bytes cost (1 - hit_refund) of theirs — the budget
 // preferentially throttles waste.
 //
-// A budget of 0 means unlimited: every call is a no-op and allows() is true.
+// A budget of 0 means unlimited (the engine passes 0 while data_budget is
+// unset; a configured budget must be positive): every call is a no-op and
+// allows() is true.
 // Not thread-safe; owned per user alongside the prefetch cache.
 #pragma once
 
 #include <algorithm>
 
+#include "policy/options.hpp"
 #include "util/units.hpp"
 
 namespace appx::policy {
@@ -26,9 +28,9 @@ namespace appx::policy {
 class BudgetPacer {
  public:
   struct Options {
-    Bytes budget = 0;              // bucket capacity; 0 = unlimited
-    Duration window = minutes(1);  // one full budget refills per window
-    double hit_refund = 0.5;       // fraction of a hit's bytes credited back
+    Bytes budget = 0;                    // bucket capacity; 0 = unlimited
+    Duration window = kBudgetWindow;     // one full budget refills per window
+    double hit_refund = kHitByteRefund;  // fraction of a hit's bytes credited back
   };
 
   BudgetPacer() = default;

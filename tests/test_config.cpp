@@ -236,39 +236,67 @@ TEST(ProxyConfig, SchedulerWeightsRoundTrip) {
 
 TEST(ProxyConfig, PolicyEngineJsonRoundTrip) {
   ProxyConfig config;
-  config.policy.enabled = true;
   config.policy.min_value = 0.25;
-  config.policy.max_threshold = 12.5;
-  config.policy.threshold_growth = 1.5;
-  config.policy.threshold_decay = 0.75;
   config.policy.target_queue_depth = 1024;
-  config.policy.budget_window = seconds(90);
-  config.policy.hit_byte_refund = 0.8;
-  config.policy.learn_expiry = false;
-  config.policy.min_learned_expiry = seconds(7);
+  config.policy.learn_expiry = true;
   config.max_queued_prefetches = 48;
 
-  const ProxyConfig back = ProxyConfig::from_json(config.to_json());
-  EXPECT_TRUE(back.policy.enabled);
+  const std::string text = config.to_json();
+  // Only the three tunable keys are written; the fixed constants are not.
+  const json::Value written = json::parse(text);
+  EXPECT_EQ(written.at("global").at("policy").as_object().size(), 3u);
+
+  const ProxyConfig back = ProxyConfig::from_json(text);
   EXPECT_DOUBLE_EQ(back.policy.min_value, 0.25);
-  EXPECT_DOUBLE_EQ(back.policy.max_threshold, 12.5);
-  EXPECT_DOUBLE_EQ(back.policy.threshold_growth, 1.5);
-  EXPECT_DOUBLE_EQ(back.policy.threshold_decay, 0.75);
   EXPECT_EQ(back.policy.target_queue_depth, 1024);
-  EXPECT_EQ(back.policy.budget_window, seconds(90));
-  EXPECT_DOUBLE_EQ(back.policy.hit_byte_refund, 0.8);
-  EXPECT_FALSE(back.policy.learn_expiry);
-  EXPECT_EQ(back.policy.min_learned_expiry, seconds(7));
+  EXPECT_TRUE(back.policy.learn_expiry);
   EXPECT_EQ(back.max_queued_prefetches, 48u);
 }
 
 TEST(ProxyConfig, PolicySectionAbsentKeepsDefaults) {
   // Pre-policy configs (no `global.policy` object) still parse, with the
-  // engine disabled — upgrading a deployment must not change behaviour.
+  // admit-everything defaults.
   const ProxyConfig config = ProxyConfig::from_json(R"({"global": {"probability": 0.7}})");
   EXPECT_DOUBLE_EQ(config.global_probability, 0.7);
-  EXPECT_FALSE(config.policy.enabled);
-  EXPECT_DOUBLE_EQ(config.policy.min_value, policy::PolicyOptions{}.min_value);
+  EXPECT_DOUBLE_EQ(config.policy.min_value, 0.0);
+  EXPECT_FALSE(config.policy.learn_expiry);
+}
+
+TEST(ProxyConfig, PolicyEnabledFalseIsRejected) {
+  // Older files wrote "enabled": false next to tuned values; with the policy
+  // always on, accepting them would silently switch tuned admission on.
+  const char* legacy_off = R"({"global": {"policy": {
+      "enabled": false, "min_value": 0.05, "learn_expiry": true}}})";
+  try {
+    ProxyConfig::from_json(legacy_off);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("delete the global.policy block"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ProxyConfig, PolicyEnabledTrueIsAcceptedAndIgnored) {
+  // "enabled": true asked for what now always happens.
+  const ProxyConfig config = ProxyConfig::from_json(R"({"global": {"policy": {
+      "enabled": true, "min_value": 0.05, "learn_expiry": true}}})");
+  EXPECT_DOUBLE_EQ(config.policy.min_value, 0.05);
+  EXPECT_TRUE(config.policy.learn_expiry);
+}
+
+TEST(ProxyConfig, NonPositiveDataBudgetIsRejected) {
+  // Unlimited is spelled null; 0 or a negative budget is an error rather than
+  // a silent "no limit".
+  for (const char* budget : {"0", "-1"}) {
+    const std::string text =
+        std::string(R"({"global": {"data_budget_bytes": )") + budget + "}}";
+    EXPECT_THROW(ProxyConfig::from_json(text), InvalidArgumentError) << budget;
+  }
+  const ProxyConfig unlimited =
+      ProxyConfig::from_json(R"({"global": {"data_budget_bytes": null}})");
+  EXPECT_FALSE(unlimited.data_budget.has_value());
+  const ProxyConfig one_byte = ProxyConfig::from_json(R"({"global": {"data_budget_bytes": 1}})");
+  EXPECT_EQ(one_byte.data_budget, 1);
 }
 
 TEST(FieldCondition, NumericVsStringFallsBackToLexicographic) {

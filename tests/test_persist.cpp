@@ -273,6 +273,35 @@ TEST_F(PersistEngineTest, ExportImportHandsUserToAnotherEngine) {
   EXPECT_TRUE(serves_sibling_from_cache(successor, "mover", minutes(10)));
 }
 
+TEST_F(PersistEngineTest, LegacyBudgetSpendIsReadAndDropped) {
+  // "users" v1 entries open with a u64 that was the removed budget cliff's
+  // byte spend. Hand-build an entry whose spend is non-zero: it must restore,
+  // and the re-persisted entry carries 0 there and nothing else changed.
+  teach(*engine_, "mover");
+  const std::vector<std::uint8_t> original = engine_->export_user("mover");
+  const SnapshotView view(original);
+  const SnapshotView::Section* section = view.find("user");
+  ASSERT_NE(section, nullptr);
+  ByteReader in(section->data, section->size);
+  const std::string name = in.str();
+  const std::uint64_t len = in.u64();
+  ByteReader payload(in.cursor(), len);
+  EXPECT_EQ(payload.u64(), 0u);
+
+  ByteWriter entry;
+  entry.str(name);
+  entry.u64(len);
+  entry.u64(123456);  // a spend the parent would have written
+  entry.raw(payload.cursor(), payload.remaining());
+  SnapshotBuilder legacy;
+  legacy.add_raw("user", ProxyEngine::kUsersSectionVersion, entry);
+
+  ProxyEngine successor(&restored_set_, &config_, 7);
+  ASSERT_TRUE(successor.import_user(legacy.finish(), minutes(10)));
+  EXPECT_EQ(successor.export_user("mover"), original);
+  EXPECT_TRUE(serves_sibling_from_cache(successor, "mover", minutes(10)));
+}
+
 TEST_F(PersistEngineTest, ImportRejectsCorruptBlobsCleanly) {
   teach(*engine_, "mover");
   auto shard = engine_->export_user("mover");

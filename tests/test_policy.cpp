@@ -182,9 +182,6 @@ TEST(AdmissionController, AdmitsAboveFloorRejectsBelow) {
 TEST(AdmissionController, ThresholdGrowsUnderOverloadAndDecaysWhenCalm) {
   PolicyOptions options;
   options.min_value = 1.0;
-  options.threshold_growth = 2.0;
-  options.threshold_decay = 0.5;
-  options.max_threshold = 8.0;
   options.target_queue_depth = 10;
   AdmissionController admission(options);
 
@@ -192,31 +189,43 @@ TEST(AdmissionController, ThresholdGrowsUnderOverloadAndDecaysWhenCalm) {
   admission.observe_load(/*queue_depth=*/1000, /*drops_total=*/50);
   EXPECT_DOUBLE_EQ(admission.threshold(), 1.0);
 
-  // Queue above target -> growth, capped at max_threshold.
+  // Queue above target -> growth, capped at kMaxThreshold.
   admission.observe_load(1000, 50);
-  EXPECT_DOUBLE_EQ(admission.threshold(), 2.0);
+  EXPECT_DOUBLE_EQ(admission.threshold(), kThresholdGrowth);
   admission.observe_load(1000, 50);
-  admission.observe_load(1000, 50);
-  admission.observe_load(1000, 50);
-  EXPECT_DOUBLE_EQ(admission.threshold(), 8.0);
+  EXPECT_DOUBLE_EQ(admission.threshold(), kThresholdGrowth * kThresholdGrowth);
+  for (int i = 0; i < 100; ++i) admission.observe_load(1000, 50);
+  EXPECT_DOUBLE_EQ(admission.threshold(), kMaxThreshold);
 
   // Calm -> decay, floored at min_value.
-  for (int i = 0; i < 10; ++i) admission.observe_load(0, 50);
+  admission.observe_load(0, 50);
+  EXPECT_DOUBLE_EQ(admission.threshold(), kMaxThreshold * kThresholdDecay);
+  for (int i = 0; i < 100; ++i) admission.observe_load(0, 50);
   EXPECT_DOUBLE_EQ(admission.threshold(), 1.0);
 }
 
 TEST(AdmissionController, DropsDeltaTriggersGrowthEvenWithShortQueue) {
   PolicyOptions options;
   options.min_value = 1.0;
-  options.threshold_growth = 2.0;
   options.target_queue_depth = 100;
   AdmissionController admission(options);
   admission.observe_load(0, 50);  // prime: inherited counter value is not overload
   EXPECT_DOUBLE_EQ(admission.threshold(), 1.0);
   admission.observe_load(0, 51);  // one post-enqueue drop since last look
-  EXPECT_DOUBLE_EQ(admission.threshold(), 2.0);
+  EXPECT_DOUBLE_EQ(admission.threshold(), kThresholdGrowth);
   admission.observe_load(0, 51);  // no new drops -> calm again
-  EXPECT_LT(admission.threshold(), 2.0);
+  EXPECT_LT(admission.threshold(), kThresholdGrowth);
+}
+
+TEST(AdmissionController, ZeroFloorStaysZeroUnderOverload) {
+  // The default floor: growth is multiplicative, so 0 stays 0 and every
+  // candidate is admitted however long the overload lasts.
+  PolicyOptions options;
+  options.target_queue_depth = 1;
+  AdmissionController admission(options);
+  for (int i = 0; i < 1000; ++i) admission.observe_load(1000, i);
+  EXPECT_DOUBLE_EQ(admission.threshold(), 0.0);
+  EXPECT_TRUE(admission.admit(make_estimate(0.0, 0, 1 << 20)));
 }
 
 // ---------------------------------------------------------------- pacer ----
@@ -281,18 +290,10 @@ TEST(PolicyOptions, ValidateRejectsNonsense) {
   EXPECT_THROW(bad.validate().throw_if_error(), InvalidArgumentError);
 
   bad = PolicyOptions{};
-  bad.threshold_growth = 0.5;  // growth must be >= 1
+  bad.min_value = kMaxThreshold * 2;  // a floor above the ceiling
   EXPECT_TRUE(static_cast<bool>(bad.validate()));
 
-  bad = PolicyOptions{};
-  bad.threshold_decay = 1.5;  // decay must be <= 1
-  EXPECT_TRUE(static_cast<bool>(bad.validate()));
-
-  bad = PolicyOptions{};
-  bad.hit_byte_refund = 2.0;
-  EXPECT_TRUE(static_cast<bool>(bad.validate()));
-
-  const PolicyOptions good;
+  const PolicyOptions good;  // min_value 0: admit everything
   EXPECT_TRUE(good.validate().ok());
 }
 

@@ -755,13 +755,25 @@ TEST_F(ProxyTest, ConditionGatesPrefetch) {
 }
 
 TEST_F(ProxyTest, DataBudgetStopsPrefetching) {
-  config_.data_budget = 1;  // one byte: first prefetch response exhausts it
+  config_.data_budget = 1;  // one-byte bucket: no expected size fits
   std::vector<std::string> ids;
   for (int i = 0; i < 10; ++i) ids.push_back("id" + std::to_string(i));
   run_transaction("u1", make_feed_request(), make_feed_response(ids), 0);
   run_transaction("u1", make_product_request("id0"), make_product_response("m", 1), 1);
   run_transaction("u1", make_feed_request(), make_feed_response({"fresh1", "fresh2"}), 2);
-  EXPECT_GT(engine_->stats().skipped_budget, 0u);
+  EXPECT_GT(engine_->stats().policy_rejected_budget, 0u);
+  EXPECT_EQ(engine_->stats().prefetches_issued, 0u);
+}
+
+TEST_F(ProxyTest, NonPositiveDataBudgetIsRejected) {
+  // Unlimited is spelled unset: a budget of 0 (or less) must not silently
+  // flip to "no limit" in the token bucket.
+  for (const Bytes budget : {Bytes{0}, Bytes{-1}}) {
+    config_.data_budget = budget;
+    EXPECT_THROW(remake_engine(), InvalidArgumentError) << budget;
+  }
+  config_.data_budget.reset();
+  EXPECT_NO_THROW(remake_engine());
 }
 
 TEST_F(ProxyTest, AddedHeaderMarksPrefetchButStillMatchesClient) {
@@ -1026,18 +1038,35 @@ TEST_F(ProxyTest, PerUserCacheHonoursConfiguredBounds) {
 
 // --- Policy engine through the proxy ---------------------------------------------
 
-TEST_F(ProxyTest, PolicyDisabledByDefaultCountsNothing) {
+TEST_F(ProxyTest, DefaultPolicyAdmitsEveryCandidate) {
   run_transaction("u1", make_feed_request(), make_feed_response({"a", "b"}), 0);
   run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 1);
   EXPECT_GT(engine_->stats().prefetches_issued, 0u);
-  EXPECT_EQ(engine_->stats().policy_admitted, 0u);
+  EXPECT_EQ(engine_->stats().policy_admitted, engine_->stats().prefetches_issued);
   EXPECT_EQ(engine_->stats().policy_rejected_value, 0u);
   EXPECT_EQ(engine_->stats().policy_rejected_budget, 0u);
 }
 
+TEST_F(ProxyTest, DefaultPolicyAdmitsEveryCandidateUnderOverload) {
+  // A floor of 0 stays 0 however often overload multiplies the threshold.
+  config_.policy.target_queue_depth = 1;
+  remake_engine();
+  std::vector<std::string> ids;
+  for (int i = 0; i < 12; ++i) ids.push_back("id" + std::to_string(i));
+  for (int round = 0; round < 5; ++round) {
+    run_transaction("u1", make_feed_request(), make_feed_response(ids), round * 2);
+    run_transaction("u1", make_product_request("id0"), make_product_response("m", 1),
+                    round * 2 + 1);
+  }
+  EXPECT_GT(engine_->stats().prefetches_issued, 0u);
+  EXPECT_EQ(engine_->stats().policy_rejected_value, 0u);
+  EXPECT_EQ(engine_->stats().policy_rejected_budget, 0u);
+  EXPECT_EQ(engine_->stats().policy_admitted, engine_->stats().prefetches_issued);
+}
+
 TEST_F(ProxyTest, PolicyPermissiveFloorAdmitsAndStillHits) {
-  config_.policy.enabled = true;
   config_.policy.min_value = 1e-9;  // admit everything
+  config_.policy.learn_expiry = true;
   remake_engine();
   run_transaction("u1", make_feed_request(), make_feed_response({"a", "b"}), 0);
   run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 1);
@@ -1049,9 +1078,10 @@ TEST_F(ProxyTest, PolicyPermissiveFloorAdmitsAndStillHits) {
 }
 
 TEST_F(ProxyTest, PolicyHighFloorRejectsByValue) {
-  config_.policy.enabled = true;
-  config_.policy.min_value = 1e9;  // nothing can clear this
-  config_.policy.max_threshold = 1e9;
+  // The prior estimate is 0.5 × 50 ms / 8 KB ≈ 3.1 ms/KB: nothing clears
+  // the ceiling.
+  config_.policy.min_value = policy::kMaxThreshold;
+  config_.policy.learn_expiry = true;
   remake_engine();
   run_transaction("u1", make_feed_request(), make_feed_response({"a", "b"}), 0);
   run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 1);
@@ -1060,15 +1090,13 @@ TEST_F(ProxyTest, PolicyHighFloorRejectsByValue) {
 }
 
 TEST_F(ProxyTest, PolicyBudgetPacerRejectsWithoutHardCliff) {
-  config_.policy.enabled = true;
   config_.policy.min_value = 1e-9;
+  config_.policy.learn_expiry = true;
   config_.data_budget = 1;  // pacer bucket of one byte: no expected size fits
   remake_engine();
   run_transaction("u1", make_feed_request(), make_feed_response({"a", "b"}), 0);
   run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 1);
   EXPECT_GT(engine_->stats().policy_rejected_budget, 0u);
-  // With the policy on, the legacy cliff counter must stay untouched.
-  EXPECT_EQ(engine_->stats().skipped_budget, 0u);
 }
 
 TEST_F(ProxyTest, WastedAccountingCountsExpiredUnusedPrefetches) {

@@ -11,8 +11,8 @@
 //        --out <file>                      write the config instead of stdout
 //        --minutes <N>                     fuzzing duration (default 15)
 //        --probability <P>                 global prefetch probability
-//        --budget-mb <N>                   per-user data budget (paced by the
-//                                          policy engine's token bucket)
+//        --budget-mb <N>                   per-user data budget, > 0 (paced by
+//                                          the policy engine's token bucket)
 //   appx demo <app>                        live loopback proxy demo (sockets)
 //   appx node <app> [opts]                 run one cluster node (DESIGN.md §5k):
 //        --name <n> --membership <file>    identity + static node list (port
@@ -159,9 +159,10 @@ int cmd_verify(const std::vector<std::string>& args) {
 }
 
 // `appx verify` plus deployment tuning: the verified Fig. 9 config with the
-// cost-aware policy engine (DESIGN.md §5j) switched on, so learned expiry
-// keeps refining the probed TTL estimates at run time and admission/pacing
-// guard the data budget.
+// cost-aware policy engine (DESIGN.md §5j) tuned past its admit-everything
+// default — a value floor prunes never-used prefetches and learned expiry
+// keeps refining the probed TTL estimates at run time — while pacing guards
+// the data budget (which must be positive when given).
 int cmd_gen_config(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   std::string out_path;
@@ -188,11 +189,12 @@ int cmd_gen_config(const std::vector<std::string>& args) {
   const auto outcome = eval::run_verification(app, params);
 
   core::ProxyConfig config = outcome.initial_config;
-  config.policy.enabled = true;
+  config.policy.min_value = 0.05;
   config.policy.learn_expiry = true;
   if (probability) config.global_probability = *probability;
   if (budget_mb) config.data_budget = megabytes(*budget_mb);
   config.policy.validate().throw_if_error();
+  config.validate_data_budget().throw_if_error();
 
   std::cerr << "gen-config: " << outcome.verified.size() << " signatures verified, "
             << outcome.failing.size() << " disabled, " << outcome.expiry_estimates.size()
