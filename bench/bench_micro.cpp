@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): throughput of the pieces on
 // the proxy's per-message fast path — pattern matching, template fill/extract,
-// JSON parsing, signature matching, dynamic learning, cache lookup — plus the
-// offline static-analysis cost.
+// JSON parsing, signature matching, dynamic learning, cache lookup, prefetch
+// scheduling — plus the offline static-analysis cost.
 #include <benchmark/benchmark.h>
 
 #include "analysis/analyzer.hpp"
@@ -10,6 +10,7 @@
 #include "apps/server.hpp"
 #include "core/learning.hpp"
 #include "core/proxy.hpp"
+#include "core/scheduler.hpp"
 #include "json/json.hpp"
 #include "pattern/regex.hpp"
 
@@ -187,6 +188,28 @@ void BM_CacheLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheLookup);
+
+void BM_SchedulerBurst(benchmark::State& state) {
+  // One engine burst through a per-user queue: 256 jobs over 8 signatures
+  // with distinct priorities (ties within each), enqueued, then drained.
+  core::SignatureStats stats;
+  std::vector<core::PrefetchJob> jobs(256);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].sig_id = std::string("sig").append(std::to_string(i % 8));
+    jobs[i].cache_key = std::string(128, 'k').append(std::to_string(i));
+    stats.record_response_time(jobs[i].sig_id, static_cast<double>(10 * (i % 8)));
+  }
+  core::PrefetchScheduler sched;
+  for (auto _ : state) {
+    for (core::PrefetchJob& job : jobs) sched.enqueue(std::move(job), stats);
+    for (core::PrefetchJob& job : jobs) {
+      job = std::move(*sched.dequeue());
+      sched.on_completed();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_SchedulerBurst);
 
 void BM_StaticAnalysisWish(benchmark::State& state) {
   const ir::Program program = apps::compile_app(apps::make_wish());

@@ -71,7 +71,9 @@ http::Request detail_request(const apps::AppSpec& spec, apps::OriginServer& orig
     if (f.value.kind == apps::ValueSpec::Kind::kDep) {
       std::string path = f.value.dep_path;
       const auto star = path.find("[*]");
-      if (star != std::string::npos) path.replace(star, 3, "[" + std::to_string(index) + "]");
+      if (star != std::string::npos) {
+        path.replace(star, 3, std::string("[").append(std::to_string(index)).append("]"));
+      }
       fields.emplace_back(f.name,
                           json::Path(path).resolve_first(feed_body)->scalar_to_string());
     } else if (f.value.kind == apps::ValueSpec::Kind::kEnv) {

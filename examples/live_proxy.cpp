@@ -48,7 +48,9 @@ http::Request detail_request(const apps::AppSpec& spec, const json::Value& feed_
     if (f.value.kind == apps::ValueSpec::Kind::kDep) {
       std::string path = f.value.dep_path;
       const auto star = path.find("[*]");
-      if (star != std::string::npos) path.replace(star, 3, "[" + std::to_string(index) + "]");
+      if (star != std::string::npos) {
+        path.replace(star, 3, std::string("[").append(std::to_string(index)).append("]"));
+      }
       fields.emplace_back(f.name, json::Path(path).resolve_first(feed_body)->scalar_to_string());
     } else if (f.value.kind == apps::ValueSpec::Kind::kEnv) {
       fields.emplace_back(f.name, spec.env_defaults.at(f.value.text));

@@ -50,7 +50,8 @@ std::optional<std::string> AppClient::resolve_dep(const ValueSpec& value,
   std::string concrete_path = value.dep_path;
   const std::size_t wild = concrete_path.find("[*]");
   if (wild != std::string::npos) {
-    concrete_path.replace(wild, 3, "[" + std::to_string(element_index) + "]");
+    concrete_path.replace(wild, 3,
+                          std::string("[").append(std::to_string(element_index)).append("]"));
   }
   const json::Value* node = json::Path(concrete_path).resolve_first(*body);
   if (node == nullptr || node->is_array() || node->is_object()) return std::nullopt;

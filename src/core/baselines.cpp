@@ -104,8 +104,7 @@ void BaselineEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
     return;
   }
   ++stats_.prefetch_responses;
-  PrefetchCache::Entry entry;
-  entry.set_response(response);
+  PrefetchCache::Entry entry(std::make_shared<const http::Response>(response));
   entry.sig_id = job.sig_id;
   entry.fetched_at = now;
   if (expiration_) entry.expires_at = now + *expiration_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
 #include "util/hash.hpp"
 
 namespace appx::core {
@@ -67,15 +68,18 @@ void ResponseInterner::prune() {
   prune_at_ = std::max(kMinPruneAt, 2 * table_.size());
 }
 
+std::shared_ptr<const http::Response> PrefetchCache::Entry::empty_response() {
+  static const auto empty = std::make_shared<const http::Response>();
+  return empty;
+}
+
 PrefetchCache::~PrefetchCache() {
   // Entries still unused when the cache dies (user eviction, shutdown) were
   // prefetched for nothing: report them before the bytes vanish.
   if (hooks_.wasted) {
     for (const Node& node : lru_) fire_wasted(node);
   }
-  // Give back this cache's share of the shared gauges.
-  gauge_entries(-static_cast<std::int64_t>(index_.size()));
-  gauge_bytes(-bytes_);
+  bind_metrics({});  // give back this cache's share of the shared gauges
 }
 
 void PrefetchCache::fire_wasted(const Node& node) {
@@ -140,6 +144,7 @@ void PrefetchCache::set_limits(Limits limits) {
 }
 
 void PrefetchCache::put(std::string key, Entry entry, SimTime now) {
+  if (entry.response == nullptr) throw InvalidArgumentError("PrefetchCache::put: null response");
   ++inserted_;
   if (++puts_since_sweep_ >= kSweepInterval) {
     puts_since_sweep_ = 0;
@@ -159,7 +164,7 @@ void PrefetchCache::put(std::string key, Entry entry, SimTime now) {
     lru_.splice(lru_.begin(), lru_, node);
   } else {
     lru_.push_front(Node{std::move(key), std::move(entry), charged});
-    index_[lru_.front().key] = lru_.begin();
+    index_.emplace(lru_.front().key, lru_.begin());
     bytes_ += charged;
     gauge_entries(1);
     gauge_bytes(charged);
@@ -221,8 +226,6 @@ std::size_t PrefetchCache::sweep(SimTime now) {
   return removed;
 }
 
-std::size_t PrefetchCache::entries_used() const { return used_unique_; }
-
 Bytes PrefetchCache::unused_bytes() const {
   Bytes total = 0;
   for (const Node& node : lru_) {
@@ -234,8 +237,8 @@ Bytes PrefetchCache::unused_bytes() const {
 void PrefetchCache::clear() {
   gauge_entries(-static_cast<std::int64_t>(index_.size()));
   gauge_bytes(-bytes_);
-  lru_.clear();
   index_.clear();
+  lru_.clear();
   bytes_ = 0;
 }
 

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,13 +96,16 @@ class PrefetchCache {
   };
 
   struct Entry {
+    Entry() = default;
+    explicit Entry(std::shared_ptr<const http::Response> r) : response(std::move(r)) {}
+
     // Shared so a hit hands out the stored response without copying the body
     // (responses can be hundreds of KB); the pointer stays valid even if the
-    // entry is later overwritten, expired or evicted. Never null, so a kHit
-    // lookup always returns a usable response. The engine stores interned
-    // responses here, so other users' entries may point at the same object.
-    std::shared_ptr<const http::Response> response =
-        std::make_shared<const http::Response>();
+    // entry is later overwritten, expired or evicted. Never null (put()
+    // rejects null), so a kHit lookup always returns a usable response. The
+    // engine stores interned responses here, so other users' entries may
+    // point at the same object. A default entry shares one empty response.
+    std::shared_ptr<const http::Response> response = empty_response();
     std::string sig_id;
     SimTime fetched_at = 0;
     std::optional<SimTime> expires_at;  // nullopt = never expires
@@ -112,6 +114,9 @@ class PrefetchCache {
     void set_response(http::Response r) {
       response = std::make_shared<const http::Response>(std::move(r));
     }
+
+   private:
+    static std::shared_ptr<const http::Response> empty_response();
   };
 
   // Registry metrics fed by the cache. The gauges are shared across caches
@@ -162,6 +167,7 @@ class PrefetchCache {
   // Insert or overwrite (a fresher prefetch replaces the old response). The
   // new entry becomes most-recently-used; LRU entries are evicted until the
   // cache is back within its limits (expired entries are reaped first).
+  // Throws InvalidArgumentError when entry.response is null.
   void put(std::string key, Entry entry, SimTime now = 0);
 
   // Exact-match lookup. Expired entries are erased and reported as kExpired.
@@ -186,7 +192,7 @@ class PrefetchCache {
   // died now. O(entries); meant for end-of-run reporting, not hot paths.
   Bytes unused_bytes() const;
   std::size_t entries_inserted() const { return inserted_; }
-  std::size_t entries_used() const;
+  std::size_t entries_used() const { return used_unique_; }
   std::size_t evicted_lru() const { return evicted_lru_; }
   std::size_t evicted_expired() const { return evicted_expired_; }
 
@@ -216,7 +222,9 @@ class PrefetchCache {
 
   Limits limits_;
   LruList lru_;
-  std::map<std::string, LruList::iterator, std::less<>> index_;
+  // Keys view the nodes' own strings: list nodes never move, and erase_node
+  // drops the index slot before the node, so each key is stored once.
+  std::unordered_map<std::string_view, LruList::iterator> index_;
   Bytes bytes_ = 0;
   std::size_t inserted_ = 0;
   std::size_t used_unique_ = 0;

@@ -29,7 +29,8 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
       seed_(options_.seed),
       sig_model_(shared_model != nullptr ? shared_model : &own_sig_model_),
       admission_(options_.policy),
-      registry_(registry != nullptr ? registry : &own_registry_) {
+      registry_(registry != nullptr ? registry : &own_registry_),
+      sig_stats_(registry_) {
   if (signatures == nullptr) throw InvalidArgumentError("ProxyEngine: null signature set");
   if (config == nullptr) throw InvalidArgumentError("ProxyEngine: null config");
   config->validate_data_budget().throw_if_error();
@@ -79,8 +80,6 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
   inst_.prefetch_outstanding = &reg.gauge("appx_prefetch_outstanding");
   inst_.policy_threshold = &reg.gauge("appx_policy_threshold");
   inst_.prefetch_response_time_us = &reg.histogram("appx_prefetch_response_time_us");
-
-  sig_stats_.bind_registry(registry_);
 
   // Build the dispatch index now: export callbacks may sample its totals from
   // a scrape thread, and a lazy build on first match() would race with it.
@@ -281,8 +280,7 @@ void ProxyEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
   // One body hash serves both the content interner and learned expiry.
   const std::uint64_t body_hash = hash_combine(
       fnv1a(response.body.view()), static_cast<std::uint64_t>(response.opaque_payload));
-  PrefetchCache::Entry entry;
-  entry.response = interner_.intern(response, body_hash);
+  PrefetchCache::Entry entry(interner_.intern(response, body_hash));
   entry.sig_id = job.sig_id;
   entry.fetched_at = now;
   auto expiry = config_->expiration(job.sig_id);

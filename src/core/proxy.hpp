@@ -107,7 +107,6 @@ class ProxyEngine final : public ProxyLike {
   // the same object, so a held reference stays valid and re-reads the
   // registry on the next stats() call.
   const ProxyStats& stats() const override;
-  const SignatureStats& signature_stats() const { return sig_stats_; }
 
   // The registry behind stats(): every ProxyStats field plus per-signature
   // breakdowns, latency histograms and signature-index effectiveness. Safe to

@@ -1,18 +1,11 @@
 #include "core/scheduler.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <iterator>
+
+#include "util/error.hpp"
 
 namespace appx::core {
-
-void SignatureStats::bind_registry(obs::MetricsRegistry* registry) {
-  registry_ = registry;
-  // Signatures already seen resolve their metrics on next use.
-  for (auto& entry : per_sig_) {
-    entry.second.response_time_us = nullptr;
-    entry.second.lookups = nullptr;
-    entry.second.lookup_hits = nullptr;
-  }
-}
 
 SignatureStats::PerSig& SignatureStats::sig(std::string_view sig_id) {
   PerSig& per = per_sig_[std::string(sig_id)];
@@ -27,6 +20,9 @@ SignatureStats::PerSig& SignatureStats::sig(std::string_view sig_id) {
 }
 
 void SignatureStats::record_response_time(std::string_view sig_id, double ms) {
+  // A non-finite sample would poison the average, and through it the
+  // priority order the scheduler's queue depends on.
+  if (!std::isfinite(ms)) return;
   PerSig& per = sig(sig_id);
   per.response_time.add(ms);
   if (per.response_time_us != nullptr) {
@@ -71,11 +67,17 @@ void SignatureStats::restore(ByteReader& in, std::uint32_t version) {
   const std::uint64_t count = in.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::string sig_id = in.str();
-    PerSig& per = sig(sig_id);
     const double rt = in.f64();
-    per.response_time.seed(rt, in.u64());
+    const std::uint64_t samples = in.u64();
     const std::uint64_t hits = in.u64();
-    per.hits.seed(hits, in.u64());
+    const std::uint64_t total = in.u64();
+    if (!std::isfinite(rt) || rt < 0) {
+      throw ParseError("sig_stats: response time of '" + sig_id + "' is not a finite value >= 0");
+    }
+    if (hits > total) throw ParseError("sig_stats: '" + sig_id + "' has more hits than lookups");
+    PerSig& per = sig(sig_id);
+    per.response_time.seed(rt, samples);
+    per.hits.seed(hits, total);
   }
 }
 
@@ -83,10 +85,7 @@ PrefetchScheduler::PrefetchScheduler(Weights weights, std::size_t max_outstandin
                                      std::size_t max_queued)
     : weights_(weights), max_outstanding_(max_outstanding), max_queued_(max_queued) {}
 
-PrefetchScheduler::~PrefetchScheduler() {
-  gauge_add(metrics_.queued, -static_cast<std::int64_t>(queue_.size()));
-  gauge_add(metrics_.outstanding, -static_cast<std::int64_t>(outstanding_));
-}
+PrefetchScheduler::~PrefetchScheduler() { bind_metrics({}); }
 
 void PrefetchScheduler::bind_metrics(const Metrics& metrics) {
   gauge_add(metrics_.queued, -static_cast<std::int64_t>(queue_.size()));
@@ -100,19 +99,13 @@ std::optional<PrefetchJob> PrefetchScheduler::enqueue(PrefetchJob job,
                                                       const SignatureStats& stats) {
   job.priority = weights_.time_weight * stats.avg_response_time_ms(job.sig_id) +
                  weights_.hit_weight * stats.hit_rate(job.sig_id);
-  // Stable position: after all jobs with priority >= ours (FIFO among equals).
-  const auto pos = std::find_if(queue_.begin(), queue_.end(), [&](const PrefetchJob& other) {
-    return other.priority < job.priority;
-  });
-  queue_.insert(pos, std::move(job));
+  queue_.emplace(std::pair(-job.priority, seq_++), std::move(job));
   if (max_queued_ > 0 && queue_.size() > max_queued_) {
-    // Evict the lowest-priority job — the sorted queue's back — rather than
-    // the oldest: a long-waiting high-value job survives a burst of low-value
+    // Evict the lowest-priority job — the queue's back — rather than the
+    // oldest: a long-waiting high-value job survives a burst of low-value
     // arrivals, and an incoming job below everything queued bounces straight
     // out. Net gauge effect of insert-then-evict is zero.
-    PrefetchJob evicted = std::move(queue_.back());
-    queue_.pop_back();
-    return evicted;
+    return std::move(queue_.extract(std::prev(queue_.end())).mapped());
   }
   gauge_add(metrics_.queued, 1);
   return std::nullopt;
@@ -120,12 +113,11 @@ std::optional<PrefetchJob> PrefetchScheduler::enqueue(PrefetchJob job,
 
 std::optional<PrefetchJob> PrefetchScheduler::dequeue() {
   if (queue_.empty() || outstanding_ >= max_outstanding_) return std::nullopt;
-  PrefetchJob job = std::move(queue_.front());
-  queue_.erase(queue_.begin());
+  auto node = queue_.extract(queue_.begin());
   ++outstanding_;
   gauge_add(metrics_.queued, -1);
   gauge_add(metrics_.outstanding, 1);
-  return job;
+  return std::move(node.mapped());
 }
 
 void PrefetchScheduler::on_completed() {

@@ -11,7 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "core/user_id.hpp"
 #include "http/message.hpp"
@@ -37,11 +37,11 @@ struct PrefetchJob {
 // Per-signature response time / hit-rate statistics shared by all users.
 class SignatureStats {
  public:
-  // Mirror per-signature breakdowns into a registry: each signature gets
-  // appx_signature_response_time_us{sig="..."} (histogram),
+  // With a registry, per-signature breakdowns are mirrored into it: each
+  // signature gets appx_signature_response_time_us{sig="..."} (histogram),
   // appx_signature_lookups_total{sig="..."} and
   // appx_signature_hits_total{sig="..."}. Registry must outlive this object.
-  void bind_registry(obs::MetricsRegistry* registry);
+  explicit SignatureStats(obs::MetricsRegistry* registry = nullptr) : registry_(registry) {}
 
   void record_response_time(std::string_view sig_id, double ms);
   void record_lookup(std::string_view sig_id, bool hit);
@@ -51,7 +51,8 @@ class SignatureStats {
 
   // Persistence (snapshot section "scheduler.sig_stats", DESIGN.md §5k).
   // restore() merges through sig() so registry bindings are re-resolved in
-  // this process rather than trusted from the snapshot.
+  // this process rather than trusted from the snapshot. It throws ParseError
+  // on a response time that is not finite and >= 0, or on hits > lookups.
   static constexpr std::uint32_t kPersistVersion = 1;
   void persist(ByteWriter& out) const;
   void restore(ByteReader& in, std::uint32_t version);
@@ -60,7 +61,7 @@ class SignatureStats {
   struct PerSig {
     RunningAverage response_time{0.3};
     RatioTracker hits;
-    // Resolved once per signature when a registry is bound.
+    // Resolved once per signature when there is a registry.
     obs::Histogram* response_time_us = nullptr;
     obs::Counter* lookups = nullptr;
     obs::Counter* lookup_hits = nullptr;
@@ -119,7 +120,6 @@ class PrefetchScheduler {
   std::size_t outstanding() const { return outstanding_; }
   std::size_t completed() const { return completed_; }
   std::size_t dropped() const { return dropped_; }
-  void set_max_outstanding(std::size_t n) { max_outstanding_ = n; }
 
  private:
   void gauge_add(obs::Gauge* gauge, std::int64_t delta) {
@@ -133,8 +133,9 @@ class PrefetchScheduler {
   std::size_t outstanding_ = 0;
   std::size_t completed_ = 0;
   std::size_t dropped_ = 0;
-  // Kept sorted by priority (descending) at insertion; ties broken FIFO.
-  std::vector<PrefetchJob> queue_;
+  // One node per job keyed (-priority, arrival): highest priority first, FIFO
+  // among equals; the back is the next eviction. A drained queue holds nothing.
+  std::map<std::pair<double, std::uint64_t>, PrefetchJob> queue_;
   std::uint64_t seq_ = 0;
 };
 

@@ -290,7 +290,8 @@ TEST_F(LearningTest, InstancePoolEvictionKeepsMemoryBounded) {
     for (int round = 0; round < 5; ++round) {
       ids.clear();
       for (int i = 0; i < 600; ++i) {
-        ids.push_back("r" + std::to_string(round) + "_" + std::to_string(i));
+        ids.push_back(
+            std::string("r").append(std::to_string(round)).append("_").append(std::to_string(i)));
       }
       engine.observe(make_feed_request(), make_feed_response(ids));
       // Mark everything ready+issued by teaching the run-time values.

@@ -367,7 +367,7 @@ TEST_F(LiveProxyTest, ConcurrentClients) {
 
 TEST_F(LiveProxyTest, ClosedConnectionsAreReleased) {
   for (int i = 0; i < 5; ++i) {
-    TestClient client(proxy_server_->port(), "u" + std::to_string(i));
+    TestClient client(proxy_server_->port(), std::string("u").append(std::to_string(i)));
     EXPECT_TRUE(client.send(feed_request()).ok());
   }  // each client disconnects here
   // The event loops need a beat to observe the EOFs and drop the conns.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "core/learning.hpp"
 #include "core/persist.hpp"
@@ -339,6 +340,59 @@ TEST_F(PersistEngineTest, ShardedSnapshotRestoresIntoSingleEngine) {
   ProxyEngine single(&restored_set_, &config_, 7);
   EXPECT_EQ(single.restore_from(SnapshotView(builder.finish()), minutes(10)), 3u);
   EXPECT_TRUE(serves_sibling_from_cache(single, "u2", minutes(10)));
+}
+
+// --- scheduler signature stats ----------------------------------------------------
+
+ByteWriter sig_stats_section(double response_time_ms, std::uint64_t hits, std::uint64_t total) {
+  ByteWriter w;
+  w.u64(1);
+  w.str("sig");
+  w.f64(response_time_ms);
+  w.u64(3);  // samples behind the average
+  w.u64(hits);
+  w.u64(total);
+  return w;
+}
+
+TEST(SigStatsPersist, NonFiniteOrNegativeResponseTimeIsRejected) {
+  // A NaN average would make the priority order the scheduler's queue
+  // relies on undefined; the snapshot is refused instead.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    const ByteWriter section = sig_stats_section(bad, 1, 2);
+    ByteReader in(section.data());
+    SignatureStats stats;
+    EXPECT_THROW(stats.restore(in, SignatureStats::kPersistVersion), ParseError) << bad;
+    EXPECT_DOUBLE_EQ(stats.avg_response_time_ms("sig"), 0) << bad;
+    EXPECT_DOUBLE_EQ(stats.hit_rate("sig"), 0.5) << bad;
+  }
+}
+
+TEST(SigStatsPersist, MoreHitsThanLookupsIsRejected) {
+  const ByteWriter section = sig_stats_section(10.0, 3, 2);
+  ByteReader in(section.data());
+  SignatureStats stats;
+  EXPECT_THROW(stats.restore(in, SignatureStats::kPersistVersion), ParseError);
+  EXPECT_DOUBLE_EQ(stats.hit_rate("sig"), 0.5);
+}
+
+TEST(SigStatsPersist, ValidSectionRestoresAndRepersists) {
+  const ByteWriter section = sig_stats_section(0.0, 2, 2);
+  ByteReader in(section.data());
+  SignatureStats stats;
+  stats.restore(in, SignatureStats::kPersistVersion);
+  ByteWriter again;
+  stats.persist(again);
+  EXPECT_EQ(again.data(), section.data());
+}
+
+TEST_F(PersistEngineTest, NaNSigStatsSectionFailsTheRestore) {
+  SnapshotBuilder builder;
+  builder.add_raw("scheduler.sig_stats/0", SignatureStats::kPersistVersion,
+                  sig_stats_section(std::numeric_limits<double>::quiet_NaN(), 0, 0));
+  const auto blob = builder.finish();
+  EXPECT_THROW(engine_->restore_from(SnapshotView(blob), 0), ParseError);
 }
 
 // --- learning-state payloads -------------------------------------------------------

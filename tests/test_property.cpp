@@ -3,16 +3,20 @@
 //   * the Thompson-NFA regex engine against a naive backtracking reference
 //     interpreter over randomly generated pattern ASTs,
 //   * JSON dump/parse round-trips over randomly generated documents,
-//   * field-template fill/extract round-trips over random templates.
+//   * field-template fill/extract round-trips over random templates,
+//   * the prefetch scheduler's queue against a stable-sorted-vector model.
 //
 // All randomness is seeded appx::Rng, so failures are reproducible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/scheduler.hpp"
 #include "json/json.hpp"
 #include "pattern/regex.hpp"
 #include "pattern/template.hpp"
@@ -340,7 +344,7 @@ TEST_P(TemplateProperty, FillExtractFillIsIdentity) {
     for (std::size_t i = 0; i < segments; ++i) {
       // Alternate literal separators and holes so extraction is unambiguous.
       t.append_literal(kSeparators[rng.index(7)]);
-      const std::string hole = "h" + std::to_string(i);
+      const std::string hole = std::string("h").append(std::to_string(i));
       t.append_hole(hole);
       std::string value;
       const std::size_t len = rng.index(6);
@@ -364,6 +368,134 @@ TEST_P(TemplateProperty, FillExtractFillIsIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TemplateProperty, ::testing::Values(41, 43, 47, 53));
+
+// --- prefetch scheduler against a reference model --------------------------------------
+
+// The scheduler's queue as a vector kept stable-sorted by priority: insert
+// after every job of priority >= ours, dequeue the front, evict the back.
+struct ReferenceScheduler {
+  core::PrefetchScheduler::Weights weights;
+  std::size_t max_outstanding;
+  std::size_t max_queued;
+  std::vector<core::PrefetchJob> queue;
+  std::size_t outstanding = 0;
+  std::size_t completed = 0;
+  std::size_t dropped = 0;
+
+  std::optional<core::PrefetchJob> enqueue(core::PrefetchJob job,
+                                           const core::SignatureStats& stats) {
+    job.priority = weights.time_weight * stats.avg_response_time_ms(job.sig_id) +
+                   weights.hit_weight * stats.hit_rate(job.sig_id);
+    const auto pos = std::find_if(queue.begin(), queue.end(), [&](const core::PrefetchJob& o) {
+      return o.priority < job.priority;
+    });
+    queue.insert(pos, std::move(job));
+    if (max_queued > 0 && queue.size() > max_queued) {
+      core::PrefetchJob evicted = std::move(queue.back());
+      queue.pop_back();
+      return evicted;
+    }
+    return std::nullopt;
+  }
+
+  std::optional<core::PrefetchJob> dequeue() {
+    if (queue.empty() || outstanding >= max_outstanding) return std::nullopt;
+    core::PrefetchJob job = std::move(queue.front());
+    queue.erase(queue.begin());
+    ++outstanding;
+    return job;
+  }
+};
+
+// Job identity for comparisons: the cache key carries a unique serial.
+std::string id_of(const std::optional<core::PrefetchJob>& job) {
+  return job ? job->cache_key : "(none)";
+}
+
+class SchedulerProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulerProperty, MatchesStableSortedVector) {
+  Rng rng(GetParam());
+  // Few signatures and integral samples: most enqueues tie with a queued job.
+  static const char* kSigs[] = {"a", "b", "c", "d"};
+  for (std::size_t max_queued = 0; max_queued <= 4; ++max_queued) {
+    core::SignatureStats stats;
+    const core::PrefetchScheduler::Weights weights{1.0, rng.chance(0.5) ? 200.0 : 0.0};
+    const std::size_t max_outstanding = 1 + rng.index(4);
+    obs::Gauge queued_gauge;
+    obs::Gauge outstanding_gauge;
+    {
+      core::PrefetchScheduler sched(weights, max_outstanding, max_queued);
+      sched.bind_metrics({&queued_gauge, &outstanding_gauge});
+      ReferenceScheduler ref{weights, max_outstanding, max_queued, {}};
+      std::size_t serial = 0;
+      for (int step = 0; step < 400; ++step) {
+        const std::size_t op = rng.index(10);
+        if (op < 4) {
+          core::PrefetchJob job;
+          job.sig_id = kSigs[rng.index(4)];
+          job.cache_key = std::string("job").append(std::to_string(serial++));
+          const auto got = sched.enqueue(job, stats);
+          const auto want = ref.enqueue(job, stats);
+          ASSERT_EQ(id_of(got), id_of(want)) << "evicted job, step " << step;
+          if (got) {
+            EXPECT_EQ(got->priority, want->priority);
+          }
+        } else if (op < 7) {
+          const auto got = sched.dequeue();
+          const auto want = ref.dequeue();
+          ASSERT_EQ(id_of(got), id_of(want)) << "dequeued job, step " << step;
+          if (got) {
+            EXPECT_EQ(got->priority, want->priority);
+          }
+        } else if (op < 9) {
+          // Resolve a dequeued job exactly once, as the engine must.
+          if (ref.outstanding == 0) continue;
+          --ref.outstanding;
+          if (op == 7) {
+            sched.on_completed();
+            ++ref.completed;
+          } else {
+            sched.on_dropped();
+            ++ref.dropped;
+          }
+        } else {
+          // Move a signature's priority; already-queued jobs keep theirs.
+          const char* sig = kSigs[rng.index(4)];
+          if (rng.chance(0.5)) {
+            stats.record_response_time(sig, static_cast<double>(rng.uniform_int(0, 3) * 10));
+          } else {
+            stats.record_lookup(sig, rng.chance(0.5));
+          }
+        }
+        ASSERT_EQ(sched.queued(), ref.queue.size());
+        ASSERT_EQ(sched.outstanding(), ref.outstanding);
+        ASSERT_EQ(sched.completed(), ref.completed);
+        ASSERT_EQ(sched.dropped(), ref.dropped);
+        ASSERT_EQ(queued_gauge.value(), static_cast<std::int64_t>(ref.queue.size()));
+        ASSERT_EQ(outstanding_gauge.value(), static_cast<std::int64_t>(ref.outstanding));
+      }
+      // Free the window, then drain resolving each job at once: the
+      // remaining order must match too.
+      for (; ref.outstanding > 0; --ref.outstanding) sched.on_dropped();
+      while (true) {
+        const auto got = sched.dequeue();
+        const auto want = ref.dequeue();
+        ASSERT_EQ(id_of(got), id_of(want));
+        if (!got) break;
+        sched.on_completed();
+        --ref.outstanding;
+      }
+      ASSERT_EQ(sched.queued(), 0u);
+    }
+    // A destroyed scheduler gives back its share of the shared gauges.
+    EXPECT_EQ(queued_gauge.value(), 0);
+    EXPECT_EQ(outstanding_gauge.value(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerProperty,
+                         ::testing::Values(3, 7, 19, 61, 97, 131, 257, 509, 1021, 2053));
 
 }  // namespace
 }  // namespace appx

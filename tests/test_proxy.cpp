@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/cache.hpp"
 #include "core/proxy.hpp"
 #include "core/scheduler.hpp"
+#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "wish_fixture.hpp"
 
@@ -127,7 +131,7 @@ TEST(PrefetchCache, ByteBoundEviction) {
   const Bytes limit = 4096;
   PrefetchCache cache(PrefetchCache::Limits{0, limit});
   for (int i = 0; i < 16; ++i) {
-    cache.put("k" + std::to_string(i), sized_entry(1024), i);
+    cache.put(std::string("k").append(std::to_string(i)), sized_entry(1024), i);
     EXPECT_LE(cache.bytes(), limit);
   }
   EXPECT_GT(cache.evicted_lru(), 0u);
@@ -174,7 +178,7 @@ TEST(PrefetchCache, SweepDropsAllExpired) {
 
 TEST(PrefetchCache, TighteningLimitsEvictsImmediately) {
   PrefetchCache cache;
-  for (int i = 0; i < 8; ++i) cache.put("k" + std::to_string(i), {}, i);
+  for (int i = 0; i < 8; ++i) cache.put(std::string("k").append(std::to_string(i)), {}, i);
   cache.set_limits(PrefetchCache::Limits{2, 0});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evicted_lru(), 6u);
@@ -190,6 +194,87 @@ TEST(PrefetchCache, EvictionCountersRouteToSinks) {
   cache.put("c", sized_entry(8), 20);  // "b" expired at t=15: reaped, not LRU'd
   EXPECT_EQ(expired, 1u);
   EXPECT_EQ(lru, 1u);
+}
+
+PrefetchCache::Entry body_entry(std::string body, std::optional<SimTime> expires_at = {}) {
+  http::Response r;
+  r.body = std::move(body);
+  PrefetchCache::Entry entry(std::make_shared<const http::Response>(std::move(r)));
+  entry.expires_at = expires_at;
+  return entry;
+}
+
+TEST(PrefetchCache, NullResponseIsRejected) {
+  PrefetchCache cache;
+  PrefetchCache::Entry entry(nullptr);
+  EXPECT_THROW(cache.put("k", std::move(entry)), InvalidArgumentError);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.entries_inserted(), 0u);
+}
+
+// Keys past the small-string buffer live on the heap; the index views the
+// node's copy of each, so put/overwrite/evict/expire/sweep/clear cycles must
+// never leave the index pointing at a freed key.
+TEST(PrefetchCache, HeapKeysSurviveEveryRemovalPath) {
+  const auto key = [](int i) {
+    std::string k = "POST https://api.example.com/product/get?cid=";
+    return k.append(std::to_string(1000 + i));
+  };
+  const auto body = [](const std::shared_ptr<const http::Response>& r) {
+    return r == nullptr ? std::string("(miss)") : std::string(r->body.view());
+  };
+  PrefetchCache cache(PrefetchCache::Limits{4, 0});
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    const SimTime t = cycle * 1000;
+    PrefetchCache::Lookup lookup;
+    for (int i = 0; i < 6; ++i) {  // 6 puts into 4 slots: key(0), key(1) evicted
+      const auto expires_at = i == 5 ? std::optional<SimTime>(t + 50) : std::nullopt;
+      cache.put(key(i), body_entry(std::string("v").append(std::to_string(i)), expires_at), t);
+    }
+    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_EQ(cache.get(key(0), t + 1, &lookup), nullptr);
+    EXPECT_EQ(lookup, PrefetchCache::Lookup::kMiss);
+    EXPECT_EQ(body(cache.get(key(2), t + 1)), "v2");
+
+    // Overwrite keeps one entry under the key; the caller's buffer is gone.
+    {
+      std::string temp = key(3);
+      cache.put(std::move(temp), body_entry("v3b"), t + 2);
+    }
+    EXPECT_EQ(cache.size(), 4u);
+
+    // Lookup through a key held in a different buffer.
+    const std::string k3 = key(3);
+    const std::vector<char> other(k3.begin(), k3.end());
+    EXPECT_EQ(body(cache.get(std::string_view(other.data(), other.size()), t + 3)), "v3b");
+    // A key differing only in its last byte is a different request (R3).
+    std::string near = key(4);
+    near.back() = 'x';
+    EXPECT_EQ(cache.get(near, t + 3, &lookup), nullptr);
+    EXPECT_EQ(lookup, PrefetchCache::Lookup::kMiss);
+    EXPECT_FALSE(std::as_const(cache).contains(key(4).substr(0, key(4).size() - 1), t + 3));
+
+    // key(5) expires at t+50: the first lookup erases it, the second misses.
+    EXPECT_EQ(cache.get(key(5), t + 60, &lookup), nullptr);
+    EXPECT_EQ(lookup, PrefetchCache::Lookup::kExpired);
+    EXPECT_EQ(cache.get(key(5), t + 60, &lookup), nullptr);
+    EXPECT_EQ(lookup, PrefetchCache::Lookup::kMiss);
+
+    // sweep() drops an expired entry without a lookup.
+    cache.put(key(6), sized_entry(8, t + 70), t + 61);
+    EXPECT_EQ(cache.sweep(t + 80), 1u);
+    EXPECT_FALSE(cache.contains(key(6), t + 80));
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(body(cache.get(key(4), t + 80)), "v4");
+
+    if (cycle < 2) {
+      cache.clear();
+      EXPECT_EQ(cache.size(), 0u);
+      EXPECT_FALSE(cache.contains(key(2), t + 80));
+    }
+  }
+  // The last cycle's survivors are still reachable through fresh key buffers.
+  for (int i : {2, 3, 4}) EXPECT_TRUE(cache.contains(key(i), 2100)) << i;
 }
 
 // --- scheduler ------------------------------------------------------------------
@@ -209,6 +294,19 @@ TEST(SignatureStats, Updates) {
   EXPECT_DOUBLE_EQ(stats.hit_rate("x"), 0.5);  // (1+1)/(2+2)
   stats.record_lookup("x", true);
   EXPECT_GT(stats.hit_rate("x"), 0.5);
+}
+
+TEST(SignatureStats, NonFiniteSamplesAreIgnored) {
+  SignatureStats stats;
+  stats.record_response_time("x", 100);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    stats.record_response_time("x", bad);
+    stats.record_response_time("fresh", bad);
+  }
+  EXPECT_DOUBLE_EQ(stats.avg_response_time_ms("x"), 100);
+  EXPECT_DOUBLE_EQ(stats.avg_response_time_ms("fresh"), 0);
 }
 
 TEST(PrefetchScheduler, PriorityOrdering) {

@@ -355,7 +355,7 @@ TEST(ShardedProxy, StaleUserIdIsTransparentlyReinterned) {
   const std::size_t shard = engine.shard_index_for("sleeper");
   std::string neighbour;
   for (int i = 0;; ++i) {
-    neighbour = "n" + std::to_string(i);
+    neighbour = std::string("n").append(std::to_string(i));
     if (engine.shard_index_for(neighbour) == shard && neighbour != "sleeper") break;
   }
   engine.resolve_user(neighbour, minutes(10));
